@@ -40,14 +40,19 @@ from repro.baselines.kodan import KodanPolicy
 from repro.baselines.naive import NaivePolicy
 from repro.baselines.satroi import SatRoIPolicy
 from repro.core.accounting import RunResult
-from repro.core.cloud import train_ground_detector, train_onboard_detector
+from repro.core.cloud import (
+    DEFAULT_TRAINING_SEED,
+    CloudDetector,
+    train_detector,
+)
 from repro.core.config import EarthPlusConfig
 from repro.core.ground_segment import GroundSegment
 from repro.core.system import ConstellationSimulator, EarthPlusPolicy
 from repro.datasets.generator import SyntheticDataset
-from repro.datasets.planet import planet_dataset
-from repro.datasets.sentinel2 import sentinel2_dataset
+from repro.datasets.planet import planet_bands, planet_dataset
+from repro.datasets.sentinel2 import sentinel2_bands, sentinel2_dataset
 from repro.errors import ConfigError, ScenarioError
+from repro.imagery.bands import Band
 from repro.orbit.links import FluctuationModel
 
 POLICY_NAMES = ("earthplus", "kodan", "satroi", "naive")
@@ -68,6 +73,13 @@ DEFAULT_DOWNLINK_BYTES_PER_CONTACT = int(200e6 * 600 / 8)
 DATASET_BUILDERS = {
     "sentinel2": sentinel2_dataset,
     "planet": planet_dataset,
+}
+
+#: Per builder, the band set it produces from its ``bands`` argument,
+#: resolved without building (see :meth:`DatasetSpec.bands`).
+DATASET_BANDS = {
+    "sentinel2": sentinel2_bands,
+    "planet": planet_bands,
 }
 
 #: Built datasets memoized per process, keyed by canonical spec.  Bounded:
@@ -132,6 +144,17 @@ class DatasetSpec:
                 _DATASET_CACHE.pop(next(iter(_DATASET_CACHE)))
             _DATASET_CACHE[key] = dataset
         return dataset
+
+    def bands(self) -> tuple[Band, ...]:
+        """The described dataset's band set, without building it.
+
+        Raises:
+            ConfigError: For an unknown dataset kind.
+            BandError: For an unknown band name.
+        """
+        if self.kind not in DATASET_BANDS:
+            raise ConfigError(f"unknown dataset kind {self.kind!r}")
+        return DATASET_BANDS[self.kind](dict(self.params).get("bands"))
 
 
 @dataclass
@@ -198,6 +221,34 @@ class ScenarioSpec:
         return self.label if self.label else f"{self.policy}/seed{self.seed}"
 
 
+def detector_needs(
+    config: EarthPlusConfig,
+) -> tuple[tuple[str, int | None, int], ...]:
+    """The ``(kind, tile_size, seed)`` of each detector a scenario trains.
+
+    Every scenario trains the cheap on-board detector at its config's
+    tile size and the accurate ground detector (no tiles), both at the
+    default seed, whatever its policy.  This is the one statement of
+    that rule: :func:`scenario_detectors` trains from it and the
+    experiment store's warm step
+    (:func:`repro.store.runner.warm_detectors`) pre-loads from it.
+    """
+    return (
+        ("onboard", config.tile_size, DEFAULT_TRAINING_SEED),
+        ("ground", None, DEFAULT_TRAINING_SEED),
+    )
+
+
+def scenario_detectors(
+    config: EarthPlusConfig, bands: tuple[Band, ...]
+) -> dict[str, CloudDetector]:
+    """The trained (memoized) detectors of :func:`detector_needs`, by kind."""
+    return {
+        kind: train_detector(kind, bands, tile_size, seed)
+        for kind, tile_size, seed in detector_needs(config)
+    }
+
+
 def build_policy_factory(
     policy: str,
     config: EarthPlusConfig,
@@ -213,8 +264,8 @@ def build_policy_factory(
         raise ConfigError(
             f"unknown policy {policy!r}; expected one of {POLICY_NAMES}"
         )
-    cheap = train_onboard_detector(bands, tile_size=config.tile_size)
-    accurate = train_ground_detector(bands)
+    detectors = scenario_detectors(config, bands)
+    cheap, accurate = detectors["onboard"], detectors["ground"]
 
     def factory(satellite_id: int):
         if policy == "earthplus":
@@ -263,7 +314,7 @@ def build_simulator(
         bands=dataset.bands,
         image_shape=dataset.image_shape,
         ground_detector=(
-            train_ground_detector(dataset.bands)
+            scenario_detectors(config, dataset.bands)["ground"]
             if spec.ground_detector_for_scoring
             else None
         ),

@@ -23,6 +23,7 @@ precision property.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -34,6 +35,10 @@ from repro.imagery.clouds import CloudModel
 from repro.imagery.earth_model import EarthModel, LocationSpec, TerrainClass
 from repro.imagery.illumination import IlluminationModel
 from repro.imagery.noise import stable_hash
+from repro.obs.metrics import counters
+
+#: Columns of the per-pixel feature stack (:func:`cloud_features`).
+_N_FEATURES = 3
 
 
 # ----------------------------------------------------------------------
@@ -160,6 +165,101 @@ class DecisionTree:
         """
         return self.predict_fraction(features) >= min_confidence
 
+    def to_document(self) -> dict:
+        """The fitted tree as plain JSON data (nodes in pre-order).
+
+        Each node is ``{"feature", "threshold", "positive_fraction"}``; a
+        leaf has ``feature == -1`` and no children follow it.  Thresholds
+        and fractions are Python floats, which :mod:`json` writes via
+        ``repr`` and reads back exactly, so :meth:`from_document` restores a tree whose
+        predictions are bitwise equal to this one's.
+        """
+        if self._root is None:
+            raise PipelineError("tree is not fitted")
+        nodes: list[dict] = []
+
+        def walk(node: _TreeNode) -> None:
+            nodes.append(
+                {
+                    "feature": node.feature,
+                    "threshold": node.threshold,
+                    "positive_fraction": node.positive_fraction,
+                }
+            )
+            if not node.is_leaf:
+                assert node.left is not None and node.right is not None
+                walk(node.left)
+                walk(node.right)
+
+        walk(self._root)
+        return {
+            "max_depth": self.max_depth,
+            "min_leaf": self.min_leaf,
+            "nodes": nodes,
+        }
+
+    @classmethod
+    def from_document(cls, document: dict, n_features: int) -> "DecisionTree":
+        """Rebuild a tree written by :meth:`to_document`.
+
+        Args:
+            document: The tree document.
+            n_features: Feature columns the tree will be applied to; every
+                split must index one of them.
+
+        Raises:
+            PipelineError: When the document is malformed: wrong types,
+                a feature index out of range, a non-finite threshold, a
+                fraction outside [0, 1], a node stream that is truncated,
+                has leftovers, or is deeper than ``max_depth``.
+        """
+        if not isinstance(document, dict):
+            raise PipelineError("tree document must be an object")
+        max_depth = document.get("max_depth")
+        min_leaf = document.get("min_leaf")
+        nodes = document.get("nodes")
+        if not _is_int(max_depth) or not _is_int(min_leaf):
+            raise PipelineError("tree max_depth/min_leaf must be integers")
+        if not isinstance(nodes, list):
+            raise PipelineError("tree nodes must be a list")
+        tree = cls(max_depth=max_depth, min_leaf=min_leaf)
+        position = 0
+
+        def read(depth: int) -> _TreeNode:
+            nonlocal position
+            if position >= len(nodes):
+                raise PipelineError("tree node stream is truncated")
+            if depth > max_depth:
+                raise PipelineError("tree is deeper than its max_depth")
+            entry = nodes[position]
+            position += 1
+            if not isinstance(entry, dict) or set(entry) != {
+                "feature", "threshold", "positive_fraction",
+            }:
+                raise PipelineError(f"malformed tree node {entry!r}")
+            feature = entry["feature"]
+            threshold = entry["threshold"]
+            fraction = entry["positive_fraction"]
+            if not _is_int(feature) or not -1 <= feature < n_features:
+                raise PipelineError(f"bad tree feature index {feature!r}")
+            if not isinstance(threshold, float) or not math.isfinite(
+                threshold
+            ):
+                raise PipelineError(f"bad tree threshold {threshold!r}")
+            if not isinstance(fraction, float) or not 0.0 <= fraction <= 1.0:
+                raise PipelineError(f"bad leaf fraction {fraction!r}")
+            node = _TreeNode(threshold=threshold, positive_fraction=fraction)
+            if feature >= 0:
+                node.feature = feature
+                node.left = read(depth + 1)
+                node.right = read(depth + 1)
+            return node
+
+        tree._root = read(0)
+        if position != len(nodes):
+            raise PipelineError("tree node stream has trailing nodes")
+        return tree
+
     def depth(self) -> int:
         """Actual depth of the fitted tree."""
 
@@ -171,6 +271,10 @@ class DecisionTree:
         if self._root is None:
             raise PipelineError("tree is not fitted")
         return walk(self._root)
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 # ----------------------------------------------------------------------
@@ -271,6 +375,51 @@ class CloudDetector:
         """Detected cloud fraction of a capture."""
         return float(self.detect(pixels, bands, grid).mean())
 
+    def to_document(self) -> dict:
+        """The detector as plain JSON data (see :meth:`from_document`)."""
+        return {
+            "name": self.name,
+            "granularity": self.granularity,
+            "min_confidence": self.min_confidence,
+            "block_px": self.block_px,
+            "tree": self.tree.to_document(),
+        }
+
+    @classmethod
+    def from_document(cls, document: dict) -> "CloudDetector":
+        """Rebuild a detector written by :meth:`to_document`.
+
+        Raises:
+            PipelineError: When the document is malformed.
+        """
+        if not isinstance(document, dict) or set(document) != {
+            "name", "granularity", "min_confidence", "block_px", "tree",
+        }:
+            raise PipelineError("malformed detector document")
+        name = document["name"]
+        granularity = document["granularity"]
+        min_confidence = document["min_confidence"]
+        block_px = document["block_px"]
+        if not isinstance(name, str):
+            raise PipelineError(f"bad detector name {name!r}")
+        if granularity not in ("block", "pixel"):
+            raise PipelineError(f"unknown granularity {granularity!r}")
+        if not isinstance(min_confidence, float) or not (
+            0.0 <= min_confidence <= 1.0
+        ):
+            raise PipelineError(f"bad min_confidence {min_confidence!r}")
+        if not _is_int(block_px) or block_px < 1:
+            raise PipelineError(f"bad block_px {block_px!r}")
+        return cls(
+            tree=DecisionTree.from_document(
+                document["tree"], n_features=_N_FEATURES
+            ),
+            granularity=granularity,
+            min_confidence=min_confidence,
+            name=name,
+            block_px=block_px,
+        )
+
 
 @dataclass(frozen=True)
 class DetectorQuality:
@@ -362,11 +511,67 @@ def _training_captures(
 # repro: allow(RPR005): per-process memo of deterministically-trained detectors — training is a pure function of the key, so independently-warmed worker copies are bit-identical
 _DETECTOR_CACHE: dict[tuple, CloudDetector] = {}
 
+#: Seed both trainers use unless told otherwise.
+DEFAULT_TRAINING_SEED = 1234
+
+
+def _memo_key(
+    kind: str, bands: tuple[Band, ...], tile_size: int | None, seed: int
+) -> tuple:
+    """The memo key of one detector (the ground detector ignores tiles)."""
+    names = tuple(b.name for b in bands)
+    if kind == "onboard":
+        return ("onboard", names, tile_size, seed)
+    if kind == "ground":
+        return ("ground", names, seed)
+    raise PipelineError(f"unknown detector kind {kind!r}")
+
+
+def memoized_detector(
+    kind: str, bands: tuple[Band, ...], tile_size: int | None, seed: int
+) -> CloudDetector | None:
+    """The detector this process already holds for these inputs, if any."""
+    return _DETECTOR_CACHE.get(_memo_key(kind, bands, tile_size, seed))
+
+
+def remember_detector(
+    kind: str,
+    bands: tuple[Band, ...],
+    tile_size: int | None,
+    seed: int,
+    detector: CloudDetector,
+) -> None:
+    """Seed the memo with a detector trained elsewhere.
+
+    The caller vouches that ``detector`` is what training would produce;
+    the experiment store guarantees that through its content key.
+    """
+    _DETECTOR_CACHE[_memo_key(kind, bands, tile_size, seed)] = detector
+
+
+def train_detector(
+    kind: str, bands: tuple[Band, ...], tile_size: int | None, seed: int
+) -> CloudDetector:
+    """Train (or memo-hit) one detector named by kind.
+
+    ``"onboard"`` dispatches to :func:`train_onboard_detector` at
+    ``tile_size``; ``"ground"`` to :func:`train_ground_detector`, which
+    ignores tiles (pass None).
+
+    Raises:
+        PipelineError: For an unknown kind.
+    """
+    if kind == "onboard":
+        return train_onboard_detector(bands, tile_size=tile_size, seed=seed)
+    if kind == "ground":
+        return train_ground_detector(bands, seed=seed)
+    raise PipelineError(f"unknown detector kind {kind!r}")
+
 
 def train_onboard_detector(
     bands: tuple[Band, ...],
     tile_size: int = 64,
-    seed: int = 1234,
+    seed: int = DEFAULT_TRAINING_SEED,
 ) -> CloudDetector:
     """Train the cheap, precision-biased on-board detector.
 
@@ -377,9 +582,10 @@ def train_onboard_detector(
     Results are cached per (bands, tile_size, seed) since training data and
     CART fitting are deterministic.
     """
-    key = ("onboard", tuple(b.name for b in bands), tile_size, seed)
+    key = _memo_key("onboard", bands, tile_size, seed)
     if key in _DETECTOR_CACHE:
         return _DETECTOR_CACHE[key]
+    counters().inc("detector.trained")
     block_px = max(4, tile_size // 4)
     shape = (tile_size * 4, tile_size * 4)
     grid = TileGrid(shape, block_px)
@@ -410,16 +616,17 @@ def train_onboard_detector(
 
 def train_ground_detector(
     bands: tuple[Band, ...],
-    seed: int = 1234,
+    seed: int = DEFAULT_TRAINING_SEED,
 ) -> CloudDetector:
     """Train the accurate ground-side detector (per pixel, deeper tree).
 
     Stands in for the paper's neural detector [74]: accuracy-biased, run
     only on the ground where compute is plentiful.
     """
-    key = ("ground", tuple(b.name for b in bands), seed)
+    key = _memo_key("ground", bands, None, seed)
     if key in _DETECTOR_CACHE:
         return _DETECTOR_CACHE[key]
+    counters().inc("detector.trained")
     shape = (128, 128)
     captures = _training_captures(bands, seed, n_captures=12, shape=shape)
     features: list[np.ndarray] = []

@@ -16,6 +16,11 @@ from repro.imagery.earth_model import LocationSpec, TerrainClass
 from repro.imagery.noise import stable_hash
 
 
+def planet_bands(bands: tuple[Band, ...] | None = None) -> tuple[Band, ...]:
+    """The band set :func:`planet_dataset` builds for ``bands``."""
+    return PLANET_BANDS if bands is None else tuple(bands)
+
+
 def planet_dataset(
     n_satellites: int = 48,
     bands: tuple[Band, ...] | None = None,
@@ -40,7 +45,7 @@ def planet_dataset(
     Returns:
         The assembled dataset.
     """
-    band_tuple = PLANET_BANDS if bands is None else tuple(bands)
+    band_tuple = planet_bands(bands)
     spec = LocationSpec(
         name=location_name,
         shape=image_shape,

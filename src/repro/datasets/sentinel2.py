@@ -45,6 +45,24 @@ SENTINEL2_LOCATIONS: dict[str, dict] = {
 }
 
 
+def sentinel2_bands(
+    bands: tuple[Band, ...] | list[str] | None = None,
+) -> tuple[Band, ...]:
+    """The band set :func:`sentinel2_dataset` builds for ``bands``.
+
+    Resolving it does not build the dataset, so callers that only need
+    the bands (the detector warm step) skip imagery and orbit set-up.
+
+    Raises:
+        BandError: For an unknown band name.
+    """
+    if bands is None:
+        return SENTINEL2_BANDS
+    if bands and isinstance(bands[0], str):
+        return tuple(get_band(name) for name in bands)  # type: ignore[arg-type]
+    return tuple(bands)  # type: ignore[arg-type]
+
+
 def sentinel2_dataset(
     locations: list[str] | None = None,
     bands: tuple[Band, ...] | list[str] | None = None,
@@ -72,12 +90,7 @@ def sentinel2_dataset(
     """
     if locations is None:
         locations = list(SENTINEL2_LOCATIONS)
-    if bands is None:
-        band_tuple: tuple[Band, ...] = SENTINEL2_BANDS
-    elif bands and isinstance(bands[0], str):
-        band_tuple = tuple(get_band(name) for name in bands)  # type: ignore[arg-type]
-    else:
-        band_tuple = tuple(bands)  # type: ignore[arg-type]
+    band_tuple = sentinel2_bands(bands)
     specs = []
     for name in locations:
         info = SENTINEL2_LOCATIONS[name]

@@ -3,7 +3,8 @@
 Layout (under the store root, default ``~/.cache/repro`` or wherever
 ``REPRO_STORE``/``--store`` points)::
 
-    index.sqlite                 # WAL-mode index + summary columns
+    index.sqlite                 # WAL-mode index + summary columns,
+                                 # plus small artifact rows (detectors)
     objects/<k2>/<key>/          # one directory per content key
         result.json              #   run scalars, per-record strings/dicts
         records.npz              #   per-record numeric columns
@@ -38,7 +39,11 @@ import numpy as np
 
 from repro import perf
 from repro.analysis.scenarios import ScenarioSpec
-from repro.core.accounting import CaptureRecord, RunResult
+from repro.core.accounting import (
+    CaptureRecord,
+    RunResult,
+    _share_record_strings,
+)
 from repro.core.config import EarthPlusConfig
 from repro.errors import StoreError
 from repro.obs.metrics import counters
@@ -103,6 +108,10 @@ CREATE INDEX IF NOT EXISTS runs_lru ON runs (last_used_at);
 CREATE TABLE IF NOT EXISTS counters (
     name TEXT PRIMARY KEY,
     value REAL NOT NULL DEFAULT 0
+);
+CREATE TABLE IF NOT EXISTS artifacts (
+    key TEXT PRIMARY KEY,
+    payload_json TEXT NOT NULL
 );
 """
 
@@ -219,7 +228,11 @@ def _rebuild_result(document: dict, arrays: dict[str, np.ndarray]) -> RunResult:
 
     Numeric columns come back through ``ndarray.item()``, which restores
     the plain Python scalars the simulation produced — this is what makes
-    a warm read pickle-byte-identical to the cold run.
+    a warm read pickle-byte-identical to the cold run.  Equal strings
+    parsed from JSON are separate instances, so the records are pooled
+    the way the simulation's records share their strings (the same
+    pooling the sharded merge applies); otherwise the pickle would
+    write each location and band name once per record.
     """
     n_records = len(document["locations"])
     columns = {
@@ -249,7 +262,7 @@ def _rebuild_result(document: dict, arrays: dict[str, np.ndarray]) -> RunResult:
     ]
     return RunResult(
         policy=document["policy"],
-        records=records,
+        records=_share_record_strings(records),
         downlink_bytes=document["downlink_bytes"],
         uplink_bytes=document["uplink_bytes"],
         updates_skipped=document["updates_skipped"],
@@ -563,6 +576,51 @@ class ExperimentStore:
         self._count({"store.put": 1, "store.put_bytes": payload_bytes})
         self.evict()
         return key
+
+    # -- derived artifacts ---------------------------------------------
+    def get_artifact(self, key: str) -> dict | None:
+        """The JSON payload stored under an artifact key, or None.
+
+        Artifacts (trained detectors) are small index rows beside the
+        runs: no payload directory, and :meth:`evict` never touches them.
+        A row that does not parse as a JSON object reads as a miss;
+        validating the object is the caller's job.  Either way the
+        caller heals the row by rebuilding the artifact and putting it
+        again (:meth:`put_artifact` overwrites).
+        """
+        row = self._conn.execute(
+            "SELECT payload_json FROM artifacts WHERE key = ?", (key,)
+        ).fetchone()
+        if row is None:
+            return None
+        try:
+            payload = json.loads(row[0])
+        except (TypeError, ValueError):
+            return None
+        return payload if isinstance(payload, dict) else None
+
+    def put_artifact(self, key: str, payload: dict) -> None:
+        """Store (or overwrite) one artifact row.
+
+        Args:
+            key: Content key (sha256 of the artifact's canonical key
+                document, e.g. :func:`~repro.store.specs.detector_document`).
+            payload: The artifact as a JSON object.
+
+        Raises:
+            StoreError: When ``payload`` is not JSON-serializable.
+        """
+        try:
+            payload_json = json.dumps(
+                payload, separators=(",", ":"), allow_nan=False
+            )
+        except (TypeError, ValueError) as exc:
+            raise StoreError(f"artifact {key} is not JSON: {exc}") from exc
+        self._conn.execute(
+            "INSERT OR REPLACE INTO artifacts (key, payload_json) "
+            "VALUES (?, ?)",
+            (key, payload_json),
+        )
 
     def delete(self, key: str) -> bool:
         """Drop one entry (row first, payload second); True if it existed."""

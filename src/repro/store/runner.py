@@ -14,6 +14,12 @@ address is needed; "resume" and "warm cache" are the same mechanism.
 Uncacheable specs (built datasets, custom fluctuation subclasses) run
 exactly as before and simply bypass the store, so every existing caller
 can be wired through this layer unconditionally.
+
+Before anything simulates, :func:`warm_detectors` makes the cloud
+detectors the batch needs resident in the driver — loaded from the
+store's artifact rows, or trained once and written there — so a fresh
+process skips training and forked pool workers inherit the warm memo
+instead of each retraining.
 """
 
 from __future__ import annotations
@@ -24,9 +30,13 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import repro.analysis.scenarios as scenarios
-from repro.analysis.scenarios import ScenarioSpec, run_scenarios
+from repro.analysis.scenarios import DatasetSpec, ScenarioSpec, run_scenarios
+from repro.core import cloud
 from repro.core.accounting import RunResult
-from repro.errors import StoreError, UncacheableSpecError
+from repro.core.config import EarthPlusConfig
+from repro.errors import PipelineError, StoreError, UncacheableSpecError
+from repro.obs.metrics import counters
+from repro.store import specs as spec_hashing
 from repro.store.backend import ExperimentStore, default_store
 
 #: Sentinel default for ``store=`` parameters: resolve the store from the
@@ -42,6 +52,83 @@ _WRITE_ERRORS = (StoreError, OSError, sqlite3.Error)
 
 def _resolve(store) -> ExperimentStore | None:
     return default_store() if store is ENV_DEFAULT else store
+
+
+def _detector_needs(specs: Sequence[ScenarioSpec]) -> list[tuple]:
+    """Distinct ``(kind, bands, tile_size, seed)`` detectors of the specs.
+
+    Which detectors a spec trains is
+    :func:`~repro.analysis.scenarios.detector_needs`; the bands come from
+    the spec without building its dataset.
+    """
+    needs: dict[tuple, None] = {}
+    for spec in specs:
+        try:
+            bands = (
+                spec.dataset.bands()
+                if isinstance(spec.dataset, DatasetSpec)
+                else tuple(spec.dataset.bands)
+            )
+        except Exception:  # the spec's own run reports it
+            continue
+        config = spec.config if spec.config is not None else EarthPlusConfig()
+        for kind, tile_size, seed in scenarios.detector_needs(config):
+            needs[(kind, bands, tile_size, seed)] = None
+    return list(needs)
+
+
+def warm_detectors(
+    specs: Sequence[ScenarioSpec], store: ExperimentStore | None = None
+) -> None:
+    """Make every detector ``specs`` need resident in this process.
+
+    Each distinct detector is looked up in the in-process memo, then in
+    the store's artifact rows (bumping ``detector.store_hits``), and
+    trained only when both miss (``detector.trained``); a freshly trained
+    detector is written to the store.  A stored row that fails to parse
+    or validate is a miss: the detector is retrained and the row
+    overwritten.  With ``store=None`` the detectors are still trained
+    here, so worker processes forked afterwards inherit them.
+
+    The warm step never changes results — a loaded detector is the one
+    training would produce (the content key covers every training input
+    and :data:`~repro.store.specs.SCHEMA_VERSION`) — and never raises for
+    a bad spec: a spec whose bands or detectors cannot be resolved is
+    skipped, and its own run reports the error as it always did.
+    """
+    for kind, bands, tile_size, seed in _detector_needs(specs):
+        if cloud.memoized_detector(kind, bands, tile_size, seed) is not None:
+            continue
+        key = spec_hashing.document_key(
+            spec_hashing.detector_document(kind, bands, tile_size, seed)
+        )
+        if store is not None:
+            stored = store.get_artifact(key)
+            if stored is not None:
+                try:
+                    detector = cloud.CloudDetector.from_document(stored)
+                except PipelineError:
+                    detector = None
+                if detector is not None:
+                    cloud.remember_detector(
+                        kind, bands, tile_size, seed, detector
+                    )
+                    counters().inc("detector.store_hits")
+                    continue
+        try:
+            detector = cloud.train_detector(kind, bands, tile_size, seed)
+        except Exception:  # the spec's own run reports it
+            continue
+        if store is None:
+            continue
+        try:
+            store.put_artifact(key, detector.to_document())
+        except _WRITE_ERRORS as exc:
+            warnings.warn(
+                f"experiment store write failed for the {kind} detector: "
+                f"{exc}",
+                stacklevel=2,
+            )
 
 
 @dataclass
@@ -162,6 +249,7 @@ def run_scenarios_cached(
                 continue
             seen_keys.add(key)
         pending.append(index)
+    warm_detectors([specs[index] for index in pending], store)
 
     def persist(batch_index: int, spec: ScenarioSpec, result: RunResult) -> None:
         index = pending[batch_index]
@@ -238,6 +326,7 @@ def run_scenario_cached(
         hit = store.get(key)
         if hit is not None:
             return hit
+    warm_detectors([spec], store)
     if shards is not None and shards > 1:
         result = scenarios.run_scenario_sharded(spec, shards=shards)
     else:

@@ -23,9 +23,10 @@ they just bypass the store.
 
 from __future__ import annotations
 
+import enum
 import hashlib
 import json
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -37,6 +38,7 @@ from repro.analysis.scenarios import (
 )
 from repro.core.config import EarthPlusConfig
 from repro.errors import UncacheableSpecError
+from repro.imagery.bands import Band
 from repro.orbit.links import FluctuationModel
 
 #: Bump whenever simulation output changes for an unchanged spec (codec
@@ -48,6 +50,9 @@ from repro.orbit.links import FluctuationModel
 #: state — semantics, so it keys) and the canonical visit ordering
 #: tie-breaks by (location, satellite), not time alone.  The shard count
 #: deliberately does NOT enter the key: sharding never changes results.
+#: The version also keys the store's detector artifacts
+#: (:func:`detector_document`), so a change to detector training must
+#: bump it (``tests/core/golden/detectors.json`` fails until it does).
 SCHEMA_VERSION = 3
 
 
@@ -166,6 +171,12 @@ def canonical_json(document: dict) -> str:
     )
 
 
+def document_key(document: dict) -> str:
+    """sha256 over a document's canonical JSON: a store content key."""
+    rendered = canonical_json(document)
+    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
+
+
 def spec_key(spec: ScenarioSpec) -> str:
     """The spec's content key: sha256 over its canonical document.
 
@@ -173,12 +184,11 @@ def spec_key(spec: ScenarioSpec) -> str:
         UncacheableSpecError: When the spec cannot be content-addressed.
     """
     try:
-        rendered = canonical_json(spec_document(spec))
+        return document_key(spec_document(spec))
     except ValueError as exc:  # e.g. a NaN parameter
         raise UncacheableSpecError(
             f"spec is not canonically serializable: {exc}"
         ) from exc
-    return hashlib.sha256(rendered.encode("utf-8")).hexdigest()
 
 
 def is_cacheable(spec: ScenarioSpec) -> bool:
@@ -188,3 +198,37 @@ def is_cacheable(spec: ScenarioSpec) -> bool:
     except UncacheableSpecError:
         return False
     return True
+
+
+def _band_document(band: Band) -> dict:
+    """Every field of a band definition (enums by value)."""
+    document: dict[str, object] = {}
+    for item in fields(band):
+        value = getattr(band, item.name)
+        document[item.name] = (
+            value.value if isinstance(value, enum.Enum) else _leaf(value)
+        )
+    return document
+
+
+def detector_document(
+    kind: str, bands: tuple[Band, ...], tile_size: int | None, seed: int
+) -> dict:
+    """The canonical document a trained detector's store key hashes.
+
+    Training is a pure function of the detector kind, the full band
+    definitions (not just their names: a band's cloud response shapes
+    the training imagery), the tile size (on-board detector only; pass
+    None for the ground detector) and the training seed.  The embedded
+    :data:`SCHEMA_VERSION` retires every stored detector when training
+    changes.  :func:`document_key` turns it into the artifact's key.
+    """
+    return {
+        "schema": SCHEMA_VERSION,
+        "artifact": "detector",
+        "kind": kind,
+        "bands": [_band_document(band) for band in bands],
+        "tile_size": tile_size,
+        "seed": seed,
+    }
+
