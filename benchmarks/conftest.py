@@ -2,8 +2,14 @@
 
 Every bench regenerates one paper table/figure: it runs the experiment once
 inside the ``benchmark`` fixture (so pytest-benchmark records wall time),
-prints the paper-style rows, and writes them to ``benchmarks/results/`` so
-``bench_output.txt`` and the per-figure text files both capture them.
+prints the paper-style rows, and writes them to the untracked
+``benchmarks/out/`` so ``bench_output.txt`` and the per-figure text files
+both capture them.  Running the suite never rewrites a tracked file.
+
+``benchmarks/results/`` holds the committed results, including the fixed
+baselines gates compare against (``fig13_runtime.txt``).  Re-baselining
+is a deliberate act: copy the regenerated file from ``benchmarks/out/``
+over the committed one and commit it.
 
 Scale knob: set ``REPRO_BENCH_SCALE=full`` for larger sweeps (closer to the
 paper's full datasets); the default ``small`` finishes the whole bench suite
@@ -21,7 +27,10 @@ import pytest
 # experiment store would time cache reads instead.  Force it off.
 os.environ["REPRO_STORE"] = "off"
 
+#: Committed results and baselines (read-only to the suite).
 RESULTS_DIR = Path(__file__).parent / "results"
+#: Where the suite writes regenerated reports (gitignored).
+OUT_DIR = Path(__file__).parent / "out"
 
 
 @pytest.fixture(scope="session")
@@ -31,25 +40,25 @@ def bench_scale() -> str:
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def out_dir() -> Path:
+    OUT_DIR.mkdir(exist_ok=True)
+    return OUT_DIR
 
 
 @pytest.fixture()
-def emit(results_dir):
-    """Print a report and persist it under benchmarks/results/."""
+def emit(out_dir):
+    """Print a report and persist it under benchmarks/out/."""
 
     def _emit(name: str, text: str) -> None:
         print()
         print(text)
-        (results_dir / f"{name}.txt").write_text(text + "\n")
+        (out_dir / f"{name}.txt").write_text(text + "\n")
 
     return _emit
 
 
 @pytest.fixture()
-def emit_json(results_dir):
+def emit_json(out_dir):
     """Persist machine-readable benchmark numbers (CI artifacts).
 
     Written as ``BENCH_<name>.json`` next to the human-readable tables so
@@ -59,7 +68,7 @@ def emit_json(results_dir):
     import json
 
     def _emit(name: str, payload: dict) -> None:
-        path = results_dir / f"BENCH_{name}.json"
+        path = out_dir / f"BENCH_{name}.json"
         path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
     return _emit

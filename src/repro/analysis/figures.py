@@ -734,11 +734,12 @@ def fig19_scaling(
     """Wall-clock scaling of one scenario sharded across worker processes.
 
     The satellites x shards grid behind the sharded-runner claim: for
-    each constellation size the scenario runs sequentially (timed, with
-    the phase profiler on) and then under every shard count, asserting
-    pickle-byte identity against the sequential result and recording both
-    the measured wall time and each shard's busy time (its phase-profile
-    total).  Two speedups come out:
+    each constellation size the scenario runs sequentially (timed) and
+    then under every shard count, asserting pickle-byte identity against
+    the sequential result and recording both the measured wall time and
+    each shard's busy time (its task CPU from
+    :attr:`~repro.analysis.scheduler.SchedulerStats.task_cpu_s`).  Two
+    speedups come out:
 
     * ``wall_speedup`` — sequential wall / sharded wall, the honest
       end-to-end number on *this* host (on fewer cores than shards the
@@ -770,8 +771,7 @@ def fig19_scaling(
     import pickle
     import time
 
-    from repro import perf as perf_mod
-    from repro.analysis.scenarios import run_scenario, run_scenario_sharded
+    from repro.analysis.scenarios import run_scenario, run_scenarios
 
     if sizes is None:
         sizes = [8, 32]
@@ -824,29 +824,27 @@ def fig19_scaling(
         )
         for shards in shard_counts:
             shard_cpu: dict[int, float] = {}
-
-            def record_cpu(index: int, _satellites, profile_rows) -> None:
-                run_cpu = sum(
-                    row["seconds"]
-                    for row in profile_rows
-                    if row["section"] == "cpu_total"
-                )
-                best = shard_cpu.get(index)
-                if best is None or run_cpu < best:
-                    shard_cpu[index] = run_cpu
-
             wall = 0.0
             identical = True
             for repeat in range(max(1, repeats)):
+                stats: list = []
                 started = time.perf_counter()
-                sharded = run_scenario_sharded(
-                    spec, shards=shards, profile_sink=record_cpu
+                (sharded,) = run_scenarios(
+                    [spec],
+                    max_workers=shards,
+                    shards=shards,
+                    stats_sink=stats.append,
                 )
                 if repeat == 0:
                     wall = time.perf_counter() - started
                 identical = identical and (
                     pickle.dumps(sharded) == sequential_pickle
                 )
+                for stat in stats:
+                    for (_, index), run_cpu in stat.task_cpu_s.items():
+                        best = shard_cpu.get(index)
+                        if best is None or run_cpu < best:
+                            shard_cpu[index] = run_cpu
             critical_path = max(shard_cpu.values()) if shard_cpu else wall
             rows.append(
                 {
@@ -1035,7 +1033,8 @@ def fig21_sweep_throughput(
     seeds) three ways: through the unified
     :class:`~repro.analysis.scheduler.SweepScheduler` (``workers``-sized
     pool, every scenario split ``shards`` ways), through per-scenario
-    gang runs (`run_scenario_sharded`, the legacy ``shards``-only mode),
+    gang runs (one sharded ``run_scenarios([spec])`` per scenario, the
+    legacy ``shards``-only mode),
     and sequentially in this process, asserting pickle-byte identity
     per spec.  As in :func:`fig19_scaling`, each dataset is warmed once
     untimed first: worker processes fork from this driver and inherit
@@ -1079,7 +1078,7 @@ def fig21_sweep_throughput(
     import pickle
     import time
 
-    from repro.analysis.scenarios import run_scenario, run_scenario_sharded
+    from repro.analysis.scenarios import run_scenario, run_scenarios
     from repro.analysis.scheduler import SweepScheduler
 
     if sizes is None:
@@ -1126,23 +1125,24 @@ def fig21_sweep_throughput(
     # Task costs (see docstring): per-shard CPU under the deterministic
     # per-scenario gang schedule, per-spec CPU from the sequential pass
     # (also the byte-identity oracle).
-    shard_cpu: dict[int, dict[int, float]] = {}
     rows = []
     sequential_wall = 0.0
     cp_specs = 0.0
     cp_shards = 0.0
     cp_joint = 0.0
     for index, spec in enumerate(specs):
-        per_shard = shard_cpu.setdefault(index, {})
-
-        def record_cpu(shard_index: int, _satellites, profile_rows) -> None:
-            per_shard[shard_index] = sum(
-                row["seconds"]
-                for row in profile_rows
-                if row["section"] == "cpu_total"
-            )
-
-        run_scenario_sharded(spec, shards=shards, profile_sink=record_cpu)
+        gang_stats: list = []
+        run_scenarios(
+            [spec],
+            max_workers=shards,
+            shards=shards,
+            stats_sink=gang_stats.append,
+        )
+        per_shard = {
+            shard_index: cpu
+            for stat in gang_stats
+            for (_, shard_index), cpu in stat.task_cpu_s.items()
+        }
         started = time.perf_counter()
         cpu_started = time.process_time()
         sequential = run_scenario(spec)
@@ -1182,7 +1182,6 @@ def fig21_sweep_throughput(
         "spawns_joint": stats.spawns,
         "spawns_legacy_sharded": len(specs) * shards,
         "tasks_run": stats.tasks_run,
-        "tasks_stolen": stats.tasks_stolen,
         "barrier_idle_s": stats.barrier_idle_s,
         "worker_cpu_s": stats.worker_cpu_s,
         "all_identical": all(row["identical"] for row in rows),

@@ -4,9 +4,9 @@ A :class:`ScenarioSpec` names everything one simulation run needs — dataset,
 policy, config, uplink budget, fluctuation, seed — as plain picklable data.
 :func:`run_scenario` turns one spec into a
 :class:`~repro.core.accounting.RunResult`; :func:`run_scenarios` executes a
-batch, optionally over the persistent worker pool of
-:class:`~repro.analysis.scheduler.SweepScheduler` (whole scenarios and
-scenario shards share one pool).  Every experiment driver (the
+batch through :class:`~repro.analysis.scheduler.SweepScheduler`, in-process
+or over its persistent worker pool (whole scenarios and scenario shards
+share one pool).  Every experiment driver (the
 figure sweeps, the CLI, ad-hoc notebooks) goes through this one path, so
 all comparisons share detectors, codec, and scoring.
 
@@ -30,12 +30,10 @@ they only remove redundant recomputation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 from repro import perf
-from repro.obs import trace
 from repro.baselines.kodan import KodanPolicy
 from repro.baselines.naive import NaivePolicy
 from repro.baselines.satroi import SatRoIPolicy
@@ -379,10 +377,9 @@ def _shardable_buckets(
 ) -> tuple[SyntheticDataset | None, list[list[int]] | None]:
     """Partition a spec's satellites for sharding.
 
-    The gatekeeper both sharded entry points (:func:`run_scenario_sharded`
-    and the sweep scheduler's planner) share: it validates that the spec
-    is epoch-synchronized, builds (or cache-hits) the dataset, and
-    partitions its satellites.
+    The sweep scheduler's planner calls it for every spec of a sharded
+    batch: it validates that the spec is epoch-synchronized, builds (or
+    cache-hits) the dataset, and partitions its satellites.
 
     Returns:
         ``(dataset, buckets)``.  ``buckets`` is None when the scenario
@@ -414,11 +411,7 @@ def _shardable_buckets(
     return dataset, buckets
 
 
-def run_scenario_sharded(
-    spec: ScenarioSpec,
-    shards: int | None = None,
-    profile_sink: Callable[[int, tuple[int, ...], list], None] | None = None,
-) -> RunResult:
+def run_scenario_sharded(spec: ScenarioSpec, shards: int | None = None) -> RunResult:
     """Execute one scenario sharded across worker processes.
 
     Satellites are partitioned into ``shards`` balanced buckets (see
@@ -438,9 +431,6 @@ def run_scenario_sharded(
             has no consistent satellite partition.
         shards: Worker count (None reads ``REPRO_SIM_SHARDS``, default
             1).  ``1`` runs in-process via :func:`run_scenario`.
-        profile_sink: Optional callable receiving
-            ``(shard_index, satellite_ids, profile_rows)`` per shard;
-            when set, workers run with the phase profiler enabled.
 
     Returns:
         The merged :class:`RunResult`.
@@ -452,33 +442,13 @@ def run_scenario_sharded(
             scenario label and the shard index, with the worker's
             traceback inline.
     """
-    from repro.analysis.scheduler import SweepScheduler
-
     if shards is None:
         shards = perf.sim_shards()
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
     if shards == 1:
         return run_scenario(spec)
-    dataset, buckets = _shardable_buckets(spec, shards)
-    if buckets is None:
-        # One bucket: run whole, reusing the dataset the partition
-        # attempt just built instead of building it again.
-        return run_scenario(spec, dataset=dataset)
-    task_sink = None
-    if profile_sink is not None:
-
-        def task_sink(task, rows, cpu_seconds):
-            if rows is not None:
-                profile_sink(task.shard_index, task.satellite_ids, rows)
-
-    scheduler = SweepScheduler(
-        workers=len(buckets),
-        shards_per_scenario=len(buckets),
-        profile=profile_sink is not None,
-    )
-    results, _ = scheduler.run([spec], task_sink=task_sink)
-    return results[0]
+    return run_scenarios([spec], max_workers=shards, shards=shards)[0]
 
 
 def _batch_error(spec: ScenarioSpec, index: int, exc: Exception) -> ScenarioError:
@@ -495,7 +465,6 @@ def run_scenarios(
     on_result: Callable[[int, ScenarioSpec, RunResult], None] | None = None,
     shards: int | None = None,
     stats_sink: Callable[..., None] | None = None,
-    profile_sink: Callable[[list], None] | None = None,
     progress=None,
 ) -> list[RunResult]:
     """Execute a batch of scenarios, optionally process-parallel.
@@ -505,14 +474,16 @@ def run_scenarios(
     datasets and detectors deterministically from the specs, and the
     sweep scheduler only decides when work runs, never what merges.
 
-    The two parallelism axes compose: ``max_workers`` sizes one
-    persistent worker pool (see
-    :class:`~repro.analysis.scheduler.SweepScheduler`) and ``shards``
-    splits each epoch-synchronized scenario into that many shard tasks
-    over the *same* pool, so a 12-spec x 4-shard sweep keeps every
-    worker busy — while one scenario's shards wait at an epoch barrier,
-    other scenarios' tasks fill the idle workers.  When only sharding is
-    requested the pool is sized to the shard count.
+    Every batch runs through one
+    :class:`~repro.analysis.scheduler.SweepScheduler`.  The two
+    parallelism axes compose: ``max_workers`` sizes one persistent
+    worker pool and ``shards`` splits each epoch-synchronized scenario
+    into that many shard tasks over the *same* pool, so a 12-spec x
+    4-shard sweep keeps every worker busy — while one scenario's shards
+    wait at an epoch barrier, other scenarios' tasks fill the idle
+    workers.  When only sharding is requested the pool is sized to the
+    shard count.  The pool never outgrows the plan: a batch of one
+    unsharded spec runs in-process whatever ``max_workers`` says.
 
     Prefer :class:`DatasetSpec` over a prebuilt dataset for batches: specs
     hit the per-process dataset cache, so every scenario a worker runs
@@ -520,11 +491,14 @@ def run_scenarios(
     and the precomputed visit ordering.  A prebuilt dataset is pickled
     per task and arrives cold in each worker.
 
+    Timing rides the telemetry plane: with a tracer installed (see
+    :mod:`repro.obs.trace`) every task's spans and its ``cpu_total``
+    land in the driver's tracer totals, whichever process ran it.
+
     Args:
         specs: The scenarios to run.
         max_workers: Worker-pool size.  None reads ``REPRO_SIM_WORKERS``
-            (default 1); a resolved size of 1 with ``shards <= 1`` runs
-            in-process.
+            (default 1).
         on_result: Optional streaming hook called as each scenario lands
             (in completion order, which under parallel workers is not spec
             order) with ``(spec_index, spec, result)``.  The experiment
@@ -537,12 +511,6 @@ def run_scenarios(
         stats_sink: Optional hook receiving the pool's
             :class:`~repro.analysis.scheduler.SchedulerStats` after a
             pooled sweep (never called for in-process runs).
-        profile_sink: Optional hook receiving each completed task's
-            profiler rows (``[{"section", "seconds", "calls"}]``,
-            including a synthetic ``cpu_total`` row).  When set, every
-            task runs with the phase profiler enabled; fold the rows
-            with :meth:`~repro.perf.SimProfiler.merge` for one
-            sweep-wide table.
         progress: Optional :class:`~repro.obs.progress.SweepProgress`
             (or duck-type) receiving task/spec completion callbacks.
             Display-only; results are byte-invariant to it.
@@ -560,7 +528,8 @@ def run_scenarios(
             inline.  Scenarios that completed before the failure was
             observed have already been delivered to ``on_result``.
     """
-    specs = list(specs)
+    from repro.analysis.scheduler import SweepScheduler
+
     if max_workers is not None and max_workers < 1:
         raise ConfigError(f"max_workers must be >= 1, got {max_workers}")
     workers = max_workers if max_workers is not None else perf.sim_workers()
@@ -568,62 +537,13 @@ def run_scenarios(
         shards = perf.sim_shards()
     if shards < 1:
         raise ConfigError(f"shards must be >= 1, got {shards}")
-    results: list[RunResult] = [None] * len(specs)  # type: ignore[list-item]
-    pool_size = max(workers, shards)
-    if pool_size <= 1 or (shards <= 1 and len(specs) <= 1) or not specs:
-        for index, spec in enumerate(specs):
-            if progress is not None:
-                progress.task_started()
-            try:
-                if profile_sink is not None:
-                    perf.enable_profiler()
-                with trace.trace_context(scenario=spec.resolved_label()):
-                    cpu_started = time.process_time()
-                    with trace.span("spec_task"):
-                        result = run_scenario(spec)
-                    cpu_seconds = time.process_time() - cpu_started
-                if profile_sink is not None:
-                    profiler = perf.active_profiler()
-                    if profiler is not None:
-                        rows = list(profiler.rows())
-                        rows.append(
-                            {
-                                "section": "cpu_total",
-                                "seconds": cpu_seconds,
-                                "calls": 1,
-                            }
-                        )
-                        profile_sink(rows)
-            except Exception as exc:
-                raise _batch_error(spec, index, exc) from exc
-            finally:
-                if profile_sink is not None:
-                    perf.disable_profiler()
-            results[index] = result
-            if progress is not None:
-                progress.task_finished()
-                progress.spec_done()
-            if on_result is not None:
-                on_result(index, spec, result)
-        return results
-    from repro.analysis.scheduler import SweepScheduler
-
     scheduler = SweepScheduler(
-        workers=pool_size,
-        shards_per_scenario=shards,
-        profile=profile_sink is not None,
+        workers=max(workers, shards), shards_per_scenario=shards
     )
-    task_sink = None
-    if profile_sink is not None:
-
-        def task_sink(task, rows, cpu_seconds):
-            if rows is not None:
-                profile_sink(rows)
-
     results, stats = scheduler.run(
-        specs, on_result=on_result, task_sink=task_sink, progress=progress
+        specs, on_result=on_result, progress=progress
     )
-    if stats_sink is not None:
+    if stats_sink is not None and stats.spawns:
         stats_sink(stats)
     return results
 

@@ -39,9 +39,15 @@ exchange that used to ride per-scenario ad-hoc ``Pipe`` pairs is routed
 through the scheduler's shared result queue as messages keyed by
 ``(scenario, epoch)``; merged journals return on a per-worker pipe.
 
-Per-sweep :class:`SchedulerStats` (tasks run / stolen, worker spawns,
-barrier-idle seconds, worker CPU) surface through ``repro sweep
---profile`` so scheduling regressions are observable from the CLI.
+:func:`execute_task` is the one task body: the in-process path and every
+pool worker run each spec or shard task through it, so span, CPU timing
+and the ``cpu_total`` profile entry are set up in one place.  A plan
+that cannot use more than one worker (one unsharded spec, or a pool of
+one) runs in-process and forks nothing.
+
+Per-sweep :class:`SchedulerStats` (tasks run, worker spawns, barrier-idle
+seconds, per-task CPU) surface through ``repro sweep --profile`` so
+scheduling regressions are observable from the CLI.
 """
 
 from __future__ import annotations
@@ -53,13 +59,12 @@ import traceback
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
-from repro import perf
 from repro.core.accounting import RunResult
 from repro.core.sharding import canonical_ingests, canonical_marks
 from repro.errors import ConfigError, ScenarioError
 from repro.obs import metrics, trace
 
-__all__ = ["SchedulerStats", "SweepScheduler"]
+__all__ = ["SchedulerStats", "SweepScheduler", "execute_task"]
 
 
 @dataclass(frozen=True)
@@ -74,10 +79,8 @@ class _Task:
         shard_index: This task's shard slot (shard tasks only).
         shard_count: Total shards of this scenario (shard tasks only).
         satellite_ids: The shard's satellite bucket (shard tasks only).
-        profile: Whether the worker should run with the phase profiler on
-            and return its rows with the result.
         trace: Whether the worker should run with a span tracer on and
-            ship its span buffer (plus counter deltas) with the result.
+            ship its spans, totals and counter deltas with the result.
             Set automatically when the driver has an active tracer.
     """
 
@@ -88,7 +91,6 @@ class _Task:
     shard_index: int = 0
     shard_count: int = 1
     satellite_ids: tuple[int, ...] = ()
-    profile: bool = False
     trace: bool = False
 
 
@@ -97,20 +99,21 @@ class SchedulerStats:
     """Per-sweep scheduling observability (``repro sweep --profile``).
 
     Attributes:
-        workers: Pool size the sweep ran with.
+        workers: Pool size the sweep ran with (clamped to the tasks the
+            plan holds; 1 for an in-process run).
         spawns: Worker processes spawned — once per sweep by design
             (the legacy sharded path spawned ``n_specs x shards``).
         tasks_run: Tasks executed (spec tasks + shard tasks).
         spec_tasks: Whole-scenario tasks among them.
         shard_tasks: Shard tasks among them.
-        tasks_stolen: Tasks that started on a worker other than the one
-            that last ran the same dataset — i.e. work pulled away from
-            its warm-cache affinity because that worker was busy.
         barrier_idle_s: Total seconds shard tasks spent blocked at epoch
             barriers waiting for merged journals (summed across workers;
             the scheduler fills this time with other scenarios' tasks
             when the pool is larger than one shard group).
-        worker_cpu_s: Total task CPU seconds across all workers.
+        task_cpu_s: CPU seconds of each task, keyed by
+            ``(spec_index, shard_index)`` (shard index 0 for spec
+            tasks).  Shard tasks time the run only, not simulator
+            construction.
         wall_s: Driver wall time for the whole sweep.
     """
 
@@ -119,10 +122,14 @@ class SchedulerStats:
     tasks_run: int = 0
     spec_tasks: int = 0
     shard_tasks: int = 0
-    tasks_stolen: int = 0
     barrier_idle_s: float = 0.0
-    worker_cpu_s: float = 0.0
+    task_cpu_s: dict[tuple[int, int], float] = field(default_factory=dict)
     wall_s: float = 0.0
+
+    @property
+    def worker_cpu_s(self) -> float:
+        """Total task CPU seconds across all workers."""
+        return sum(self.task_cpu_s.values())
 
     def rows(self) -> list[dict]:
         """Stat/value rows for the CLI ``--profile`` table."""
@@ -132,7 +139,6 @@ class SchedulerStats:
             {"stat": "tasks_run", "value": self.tasks_run},
             {"stat": "spec_tasks", "value": self.spec_tasks},
             {"stat": "shard_tasks", "value": self.shard_tasks},
-            {"stat": "tasks_stolen", "value": self.tasks_stolen},
             {
                 "stat": "barrier_idle_s",
                 "value": round(self.barrier_idle_s, 6),
@@ -140,6 +146,56 @@ class SchedulerStats:
             {"stat": "worker_cpu_s", "value": round(self.worker_cpu_s, 6)},
             {"stat": "wall_s", "value": round(self.wall_s, 6)},
         ]
+
+
+def execute_task(
+    task: _Task, dataset=None, exchange: Callable | None = None
+) -> tuple[RunResult, float]:
+    """Run one spec or shard task: the only place a task body executes.
+
+    The task runs under a ``spec_task``/``shard_task`` span with
+    ``scenario`` (and ``shard``) attribution, its CPU time is measured,
+    and that time is added to the installed tracer's totals as
+    ``cpu_total`` (the ``--profile`` table's ``total`` row).
+
+    Args:
+        task: The task.
+        dataset: A spec task's already-built dataset, if the driver
+            holds one (the planner built it to try a partition).
+        exchange: A shard task's epoch hook ``(epoch, ingests, marks)
+            -> (ingests, marks)`` returning the gang's merged journal.
+
+    Returns:
+        ``(result, cpu_seconds)``.  Shard tasks time the run only, not
+        simulator construction, so critical-path projections compare
+        simulation work alone.
+    """
+    # Imported lazily so a spawn-context worker re-imports cleanly;
+    # under fork this resolves to the already-loaded module (including
+    # any monkeypatching the driver process carries).
+    from repro.analysis import scenarios
+
+    shard = task.shard_index if task.kind == "shard" else None
+    with trace.trace_context(scenario=task.spec.resolved_label(), shard=shard):
+        if task.kind == "shard":
+            simulator = scenarios.build_simulator(task.spec)
+            cpu_started = time.process_time()
+            with trace.span("shard_task"):
+                result = simulator.run(
+                    satellite_ids=task.satellite_ids, epoch_sync=exchange
+                )
+        else:
+            cpu_started = time.process_time()
+            with trace.span("spec_task"):
+                if dataset is None:
+                    result = scenarios.run_scenario(task.spec)
+                else:
+                    result = scenarios.run_scenario(task.spec, dataset=dataset)
+        cpu_seconds = time.process_time() - cpu_started
+    tracer = trace.active_tracer()
+    if tracer is not None:
+        tracer.add_total("cpu_total", cpu_seconds)
+    return result, cpu_seconds
 
 
 def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
@@ -152,107 +208,62 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
     * per epoch of a shard task,
       ``("epoch", worker_id, task_id, epoch, ingests, marks)`` — then
       block on ``reply_conn`` for the merged ``(ingests, marks)``;
-    * ``("done", worker_id, task_id, result, profile_rows,
-      barrier_idle_s, cpu_seconds, spans, spans_dropped,
-      counter_delta)`` or
+    * ``("done", worker_id, task_id, result, barrier_idle_s,
+      cpu_seconds, telemetry, counter_delta)`` or
       ``("error", worker_id, task_id, traceback_text)``.
 
-    ``spans``/``spans_dropped`` carry the task's trace ring buffer
-    (None/0 for untraced tasks) and ``counter_delta`` the task's global
-    counter increments as a plain dict — both telemetry-only payloads
-    the driver folds into its own tracer/counters, never into results.
+    ``telemetry`` is the task's tracer partial ``(spans, dropped,
+    totals)`` (None for untraced tasks) and ``counter_delta`` the task's
+    global counter increments as a plain dict — both telemetry-only
+    payloads the driver folds into its own tracer/counters, never into
+    results.
 
     Warm per-process caches (datasets, captures, noise geometry) persist
     across tasks — that is the point of the pool — and never change
     results (the determinism contract of :mod:`repro.analysis.scenarios`).
     """
-    # Workers import lazily so a spawn-context platform re-imports
-    # cleanly; under fork this resolves to the already-loaded module
-    # (including any monkeypatching the driver process carries).
-    from repro.analysis import scenarios
-
     while True:
         task = task_queue.get()
         if task is None:
             break
         result_queue.put(("start", worker_id, task.task_id))
         try:
-            if task.profile:
-                perf.enable_profiler()
+            tracer = None
             if task.trace:
                 # Fork inherits the driver's tracer object; install a
-                # fresh buffer and attribution so each task ships only
-                # its own spans, stamped with where it actually ran.
-                trace.enable_tracer()
+                # fresh one so each task ships only its own spans and
+                # totals, stamped with the worker it ran on.
+                tracer = trace.enable_tracer()
                 trace.reset_context()
-                trace.set_context(
-                    worker=worker_id,
-                    scenario=task.spec.resolved_label(),
-                    shard=(
-                        task.shard_index if task.kind == "shard" else None
-                    ),
-                )
+                trace.set_context(worker=worker_id)
             counter_base = metrics.counters().snapshot()
             barrier_idle = 0.0
-            if task.kind == "shard":
-                simulator = scenarios.build_simulator(task.spec)
 
-                def exchange(epoch, ingests, marks, _tid=task.task_id):
-                    nonlocal barrier_idle
-                    result_queue.put(
-                        ("epoch", worker_id, _tid, epoch, ingests, marks)
-                    )
-                    waited = time.perf_counter()
-                    with trace.span("barrier_wait", epoch=epoch):
-                        merged = reply_conn.recv()
-                    barrier_idle += time.perf_counter() - waited
-                    return merged
-
-                # CPU is measured around the run only (not simulator
-                # construction), matching the legacy shard workers so
-                # critical-path projections stay comparable.
-                cpu_started = time.process_time()
-                with trace.span("shard_task"):
-                    result = simulator.run(
-                        satellite_ids=task.satellite_ids,
-                        epoch_sync=exchange,
-                    )
-                cpu_seconds = time.process_time() - cpu_started
-            else:
-                cpu_started = time.process_time()
-                with trace.span("spec_task"):
-                    result = scenarios.run_scenario(task.spec)
-                cpu_seconds = time.process_time() - cpu_started
-            rows = None
-            profiler = perf.active_profiler()
-            if profiler is not None:
-                rows = list(profiler.rows())
-                rows.append(
-                    {
-                        "section": "cpu_total",
-                        "seconds": cpu_seconds,
-                        "calls": 1,
-                    }
+            def exchange(epoch, ingests, marks):
+                nonlocal barrier_idle
+                result_queue.put(
+                    ("epoch", worker_id, task.task_id, epoch, ingests, marks)
                 )
-            spans = None
-            spans_dropped = 0
-            tracer = trace.active_tracer()
-            if task.trace and tracer is not None:
-                spans = tracer.spans()
-                spans_dropped = tracer.dropped
-            counter_delta = metrics.counters().diff(counter_base).values
+                waited = time.perf_counter()
+                with trace.span("barrier_wait", epoch=epoch):
+                    merged = reply_conn.recv()
+                barrier_idle += time.perf_counter() - waited
+                return merged
+
+            result, cpu_seconds = execute_task(task, exchange=exchange)
+            telemetry = None
+            if tracer is not None:
+                telemetry = (tracer.spans(), tracer.dropped, tracer.totals)
             result_queue.put(
                 (
                     "done",
                     worker_id,
                     task.task_id,
                     result,
-                    rows,
                     barrier_idle,
                     cpu_seconds,
-                    spans,
-                    spans_dropped,
-                    counter_delta,
+                    telemetry,
+                    metrics.counters().diff(counter_base).values,
                 )
             )
         except Exception:
@@ -260,7 +271,6 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
                 ("error", worker_id, task.task_id, traceback.format_exc())
             )
         finally:
-            perf.disable_profiler()
             trace.disable_tracer()
             trace.reset_context()
     reply_conn.close()
@@ -268,45 +278,87 @@ def _pool_worker(worker_id: int, task_queue, result_queue, reply_conn) -> None:
 
 @dataclass
 class _Unit:
-    """One schedulable unit: a single spec task or a gang of shard tasks."""
+    """One schedulable unit: a single spec task or a gang of shard tasks.
+
+    ``dataset`` is a spec task's dataset when the planner already built
+    it (a partition attempt that collapsed to one bucket); only the
+    in-process path uses it — pool workers inherit the built dataset
+    through the fork-time dataset cache instead of a pickled copy.
+    """
 
     tasks: list
+    dataset: object = None
 
     @property
     def size(self) -> int:
         return len(self.tasks)
 
 
-@dataclass
-class _GroupState:
-    """Driver-side progress of one sharded scenario."""
+class _Delivery:
+    """Driver-side bookkeeping shared by the in-process and pooled paths.
 
-    size: int
-    #: epoch -> shard_index -> (worker_id, ingests, marks)
-    epoch_buffer: dict = field(default_factory=dict)
-    #: shard_index -> RunResult partial
-    partials: dict = field(default_factory=dict)
+    Counts tasks into the stats, reports progress, folds shard partials
+    in ascending shard order, and hands each finished scenario to the
+    results list and the streaming hook.
+    """
+
+    def __init__(self, specs, stats, on_result, progress) -> None:
+        self.specs = specs
+        self.stats = stats
+        self.on_result = on_result
+        self.progress = progress
+        self.results: list[RunResult | None] = [None] * len(specs)
+        self.completed = 0
+        #: spec_index -> shard_index -> RunResult partial
+        self._partials: dict[int, dict[int, RunResult]] = {}
+
+    def started(self, task: _Task) -> None:
+        if self.progress is not None:
+            self.progress.task_started()
+        self.stats.tasks_run += 1
+        if task.kind == "shard":
+            self.stats.shard_tasks += 1
+        else:
+            self.stats.spec_tasks += 1
+
+    def finished(self, task: _Task, result: RunResult, cpu_seconds: float) -> None:
+        if self.progress is not None:
+            self.progress.task_finished()
+        self.stats.task_cpu_s[(task.spec_index, task.shard_index)] = cpu_seconds
+        if task.kind == "spec":
+            self._deliver(task.spec_index, result)
+            return
+        partials = self._partials.setdefault(task.spec_index, {})
+        partials[task.shard_index] = result
+        if len(partials) == task.shard_count:
+            merged = RunResult.identity()
+            for shard_index in sorted(partials):
+                merged = merged.merge(partials[shard_index])
+            del self._partials[task.spec_index]
+            self._deliver(task.spec_index, merged)
+
+    def _deliver(self, spec_index: int, result: RunResult) -> None:
+        self.results[spec_index] = result
+        self.completed += 1
+        if self.progress is not None:
+            self.progress.spec_done()
+        if self.on_result is not None:
+            self.on_result(spec_index, self.specs[spec_index], result)
 
 
 class SweepScheduler:
     """Execute a sweep as spec/shard tasks over one warm worker pool.
 
     Args:
-        workers: Pool size (worker processes spawned once per sweep).
+        workers: Pool size (worker processes spawned once per sweep),
+            clamped to the number of tasks the plan holds.
         shards_per_scenario: Shard each eligible scenario (one whose
             config sets ``ground_sync_days > 0``) across this many
             shard tasks, clamped to the pool size.  ``1`` runs every
             scenario as a single spec task.
-        profile: Run every task with the phase profiler enabled and hand
-            its rows to ``task_sink``.
     """
 
-    def __init__(
-        self,
-        workers: int,
-        shards_per_scenario: int = 1,
-        profile: bool = False,
-    ) -> None:
+    def __init__(self, workers: int, shards_per_scenario: int = 1) -> None:
         if workers < 1:
             raise ConfigError(f"workers must be >= 1, got {workers}")
         if shards_per_scenario < 1:
@@ -315,10 +367,9 @@ class SweepScheduler:
             )
         self.workers = workers
         self.shards_per_scenario = shards_per_scenario
-        self.profile = profile
 
     # -- planning ------------------------------------------------------
-    def _plan(self, specs: Sequence) -> tuple[list[_Unit], dict[int, object]]:
+    def _plan(self, specs: Sequence) -> list[_Unit]:
         """Turn specs into schedulable units (shard gangs first).
 
         Shard gangs are ordered ahead of spec tasks so gangs claim whole
@@ -327,35 +378,21 @@ class SweepScheduler:
         dispatch is first-fit over this order.  Ordering is pure
         scheduling policy — results are position-keyed and
         byte-invariant to it.
-
-        Returns:
-            The unit list and a ``spec_index -> dataset affinity key``
-            map (for the ``tasks_stolen`` statistic).
         """
-        from repro.analysis.scenarios import (
-            DatasetSpec,
-            _batch_error,
-            _shardable_buckets,
-        )
+        from repro.analysis.scenarios import _batch_error, _shardable_buckets
 
         groups: list[_Unit] = []
         singles: list[_Unit] = []
-        affinity_keys: dict[int, object] = {}
         # Tracing follows the ambient tracer: when the driver has one
-        # (``--trace``), every task records and ships spans — no
-        # parameter threading through the runner layers required.
+        # (``--trace``/``--profile``), every task records and ships
+        # spans — no parameter threading through the runner layers.
         traced = trace.active_tracer() is not None
         task_id = 0
         for index, spec in enumerate(specs):
-            affinity_keys[index] = (
-                spec.dataset
-                if isinstance(spec.dataset, DatasetSpec)
-                else id(spec.dataset)
-            )
-            buckets = None
+            dataset = buckets = None
             if self.shards_per_scenario > 1:
                 try:
-                    _, buckets = _shardable_buckets(
+                    dataset, buckets = _shardable_buckets(
                         spec, min(self.shards_per_scenario, self.workers)
                     )
                 except ConfigError:
@@ -374,7 +411,6 @@ class SweepScheduler:
                         shard_index=shard_index,
                         shard_count=len(buckets),
                         satellite_ids=tuple(bucket),
-                        profile=self.profile,
                         trace=traced,
                     )
                     for shard_index, bucket in enumerate(buckets)
@@ -382,22 +418,16 @@ class SweepScheduler:
                 task_id += len(buckets)
                 groups.append(_Unit(tasks=tasks))
             else:
-                singles.append(
-                    _Unit(
-                        tasks=[
-                            _Task(
-                                task_id=task_id,
-                                kind="spec",
-                                spec_index=index,
-                                spec=spec,
-                                profile=self.profile,
-                                trace=traced,
-                            )
-                        ]
-                    )
+                task = _Task(
+                    task_id=task_id,
+                    kind="spec",
+                    spec_index=index,
+                    spec=spec,
+                    trace=traced,
                 )
+                singles.append(_Unit(tasks=[task], dataset=dataset))
                 task_id += 1
-        return groups + singles, affinity_keys
+        return groups + singles
 
     # -- failure wrapping ----------------------------------------------
     @staticmethod
@@ -418,7 +448,6 @@ class SweepScheduler:
         self,
         specs: Sequence,
         on_result: Callable | None = None,
-        task_sink: Callable | None = None,
         progress=None,
     ) -> tuple[list[RunResult], SchedulerStats]:
         """Run the sweep; results in spec order, byte-identical to sequential.
@@ -427,16 +456,14 @@ class SweepScheduler:
             specs: The scenarios to run.
             on_result: Streaming hook ``(spec_index, spec, result)``,
                 called as each *scenario* completes (completion order).
-            task_sink: Per-task hook ``(task, profile_rows, cpu_seconds)``
-                called as each task completes (rows are None unless the
-                scheduler was built with ``profile=True``).
             progress: Optional :class:`~repro.obs.progress.SweepProgress`
                 (or duck-type) receiving ``task_started``/``task_finished``
                 per task and ``spec_done`` per delivered scenario.
                 Display-only; never fed back into scheduling.
 
         Returns:
-            ``(results, stats)``.
+            ``(results, stats)``.  ``stats.spawns`` is 0 when the plan
+            ran in-process.
 
         Raises:
             ConfigError: ``shards_per_scenario > 1`` against a spec
@@ -448,31 +475,18 @@ class SweepScheduler:
                 tasks) with the worker's traceback inline.
         """
         specs = list(specs)
-        stats = SchedulerStats(workers=self.workers)
+        stats = SchedulerStats()
         started_wall = time.perf_counter()
-        results: list[RunResult | None] = [None] * len(specs)
-        if not specs:
-            stats.wall_s = time.perf_counter() - started_wall
-            return [], stats
-        units, affinity_keys = self._plan(specs)
-        if self.workers == 1:
-            self._run_inline(
-                specs, units, results, on_result, task_sink, stats, progress
-            )
-        else:
-            self._run_pooled(
-                specs,
-                units,
-                affinity_keys,
-                results,
-                on_result,
-                task_sink,
-                stats,
-                progress,
-            )
+        sweep = _Delivery(specs, stats, on_result, progress)
+        units = self._plan(specs)
+        stats.workers = min(self.workers, sum(unit.size for unit in units))
+        if stats.workers == 1:
+            self._run_inline(units, sweep)
+        elif stats.workers > 1:
+            self._run_pooled(units, sweep)
         stats.wall_s = time.perf_counter() - started_wall
         self._count_stats(stats)
-        return results, stats  # type: ignore[return-value]
+        return sweep.results, stats  # type: ignore[return-value]
 
     @staticmethod
     def _count_stats(stats: SchedulerStats) -> None:
@@ -480,77 +494,33 @@ class SweepScheduler:
         bag = metrics.counters()
         bag.inc("sched.spawns", stats.spawns)
         bag.inc("sched.tasks_run", stats.tasks_run)
-        bag.inc("sched.tasks_stolen", stats.tasks_stolen)
         bag.inc("sched.barrier_idle_s", stats.barrier_idle_s)
 
-    def _run_inline(
-        self, specs, units, results, on_result, task_sink, stats, progress
-    ) -> None:
-        """Single-worker degenerate case: run in-process, no pool.
+    def _run_inline(self, units: list[_Unit], sweep: _Delivery) -> None:
+        """A plan one worker can run: execute in-process, no pool.
 
-        A one-worker pool could never gang-schedule a shard group, and
+        One task cannot be a gang (a gang has two or more shards), and
         in-process execution is the byte-identity reference anyway.
-        Spans record straight into the driver's own tracer here, so only
-        attribution (no buffer shipping) is needed.
+        Spans record straight into the driver's own tracer here, so no
+        buffer shipping is needed.
         """
-        from repro.analysis import scenarios
-
         for unit in units:
             for task in unit.tasks:
-                assert task.kind == "spec", "1-worker plans have no gangs"
-                if progress is not None:
-                    progress.task_started()
+                assert task.kind == "spec", "in-process plans have no gangs"
+                sweep.started(task)
                 try:
-                    if self.profile:
-                        perf.enable_profiler()
-                    with trace.trace_context(
-                        scenario=task.spec.resolved_label()
-                    ):
-                        cpu_started = time.process_time()
-                        with trace.span("spec_task"):
-                            result = scenarios.run_scenario(task.spec)
-                        cpu_seconds = time.process_time() - cpu_started
-                    rows = None
-                    profiler = perf.active_profiler()
-                    if profiler is not None:
-                        rows = list(profiler.rows())
-                        rows.append(
-                            {
-                                "section": "cpu_total",
-                                "seconds": cpu_seconds,
-                                "calls": 1,
-                            }
-                        )
+                    result, cpu_seconds = execute_task(
+                        task, dataset=unit.dataset
+                    )
                 except ScenarioError:
                     raise
                 except Exception as exc:
                     raise self._task_failure(task, str(exc)) from exc
-                finally:
-                    perf.disable_profiler()
-                stats.tasks_run += 1
-                stats.spec_tasks += 1
-                stats.worker_cpu_s += cpu_seconds
-                results[task.spec_index] = result
-                if task_sink is not None:
-                    task_sink(task, rows, cpu_seconds)
-                if progress is not None:
-                    progress.task_finished()
-                    progress.spec_done()
-                if on_result is not None:
-                    on_result(task.spec_index, task.spec, result)
+                sweep.finished(task, result, cpu_seconds)
 
-    def _run_pooled(
-        self,
-        specs,
-        units,
-        affinity_keys,
-        results,
-        on_result,
-        task_sink,
-        stats,
-        progress=None,
-    ) -> None:
+    def _run_pooled(self, units: list[_Unit], sweep: _Delivery) -> None:
         """The driver event loop over one persistent worker pool."""
+        stats = sweep.stats
         context = multiprocessing.get_context(
             "fork"
             if "fork" in multiprocessing.get_all_start_methods()
@@ -559,7 +529,7 @@ class SweepScheduler:
         task_queue = context.Queue()
         result_queue = context.Queue()
         workers: list[tuple] = []
-        for worker_id in range(self.workers):
+        for worker_id in range(stats.workers):
             parent_conn, child_conn = context.Pipe()
             process = context.Process(
                 target=_pool_worker,
@@ -569,21 +539,16 @@ class SweepScheduler:
             process.start()
             child_conn.close()
             workers.append((process, parent_conn))
-        stats.spawns = self.workers
+        stats.spawns = stats.workers
 
         tasks_by_id = {
             task.task_id: task for unit in units for task in unit.tasks
         }
         pending_units = list(units)
-        groups: dict[int, _GroupState] = {
-            unit.tasks[0].spec_index: _GroupState(size=unit.size)
-            for unit in units
-            if unit.tasks[0].kind == "shard"
-        }
-        idle = self.workers
+        #: (spec_index, epoch) -> shard_index -> (worker_id, ingests, marks)
+        epoch_buffers: dict[tuple[int, int], dict] = {}
+        idle = stats.workers
         running: dict[int, int] = {}  # worker_id -> task_id (post-"start")
-        affinity: dict[object, int] = {}  # dataset key -> last worker
-        completed = 0
         failed = False
 
         def dispatch() -> None:
@@ -605,18 +570,9 @@ class SweepScheduler:
                 else:
                     index += 1
 
-        def deliver(spec_index: int, result: RunResult) -> None:
-            nonlocal completed
-            results[spec_index] = result
-            completed += 1
-            if progress is not None:
-                progress.spec_done()
-            if on_result is not None:
-                on_result(spec_index, specs[spec_index], result)
-
         try:
             dispatch()
-            while completed < len(specs):
+            while sweep.completed < len(sweep.specs):
                 try:
                     message = result_queue.get(timeout=0.5)
                 except queue_mod.Empty:
@@ -641,26 +597,15 @@ class SweepScheduler:
                 if kind == "start":
                     _, worker_id, task_id = message
                     running[worker_id] = task_id
-                    task = tasks_by_id[task_id]
-                    if progress is not None:
-                        progress.task_started()
-                    stats.tasks_run += 1
-                    if task.kind == "shard":
-                        stats.shard_tasks += 1
-                    else:
-                        stats.spec_tasks += 1
-                    key = affinity_keys[task.spec_index]
-                    last = affinity.get(key)
-                    if last is not None and last != worker_id:
-                        stats.tasks_stolen += 1
-                    affinity[key] = worker_id
+                    sweep.started(tasks_by_id[task_id])
                 elif kind == "epoch":
                     _, worker_id, task_id, epoch, ingests, marks = message
                     task = tasks_by_id[task_id]
-                    group = groups[task.spec_index]
-                    buffer = group.epoch_buffer.setdefault(epoch, {})
+                    buffer = epoch_buffers.setdefault(
+                        (task.spec_index, epoch), {}
+                    )
                     buffer[task.shard_index] = (worker_id, ingests, marks)
-                    if len(buffer) == group.size:
+                    if len(buffer) == task.shard_count:
                         # Concatenate in ascending shard order before the
                         # canonical sort — the exact accumulation order
                         # of the per-scenario sharded runner, so merged
@@ -673,11 +618,9 @@ class SweepScheduler:
                             all_ingests: list = []
                             all_marks: list = []
                             for shard_index in sorted(buffer):
-                                (
-                                    _,
-                                    shard_ingests,
-                                    shard_marks,
-                                ) = buffer[shard_index]
+                                _, shard_ingests, shard_marks = buffer[
+                                    shard_index
+                                ]
                                 all_ingests.extend(shard_ingests)
                                 all_marks.extend(shard_marks)
                             merged = (
@@ -687,49 +630,29 @@ class SweepScheduler:
                             for shard_index in sorted(buffer):
                                 shard_worker = buffer[shard_index][0]
                                 workers[shard_worker][1].send(merged)
-                        del group.epoch_buffer[epoch]
+                        del epoch_buffers[(task.spec_index, epoch)]
                 elif kind == "done":
                     (
                         _,
                         worker_id,
                         task_id,
                         result,
-                        rows,
                         barrier_idle,
                         cpu_seconds,
-                        spans,
-                        spans_dropped,
+                        telemetry,
                         counter_delta,
                     ) = message
-                    task = tasks_by_id[task_id]
                     running.pop(worker_id, None)
                     idle += 1
-                    if progress is not None:
-                        progress.task_finished()
                     stats.barrier_idle_s += barrier_idle
-                    stats.worker_cpu_s += cpu_seconds
-                    if spans:
-                        driver_tracer = trace.active_tracer()
-                        if driver_tracer is not None:
-                            driver_tracer.extend(spans, spans_dropped)
+                    driver_tracer = trace.active_tracer()
+                    if telemetry is not None and driver_tracer is not None:
+                        driver_tracer.extend(*telemetry)
                     if counter_delta:
                         metrics.counters().merge_in(
                             metrics.Counters(counter_delta)
                         )
-                    if task_sink is not None:
-                        task_sink(task, rows, cpu_seconds)
-                    if task.kind == "spec":
-                        deliver(task.spec_index, result)
-                    else:
-                        group = groups[task.spec_index]
-                        group.partials[task.shard_index] = result
-                        if len(group.partials) == group.size:
-                            merged_result = RunResult.identity()
-                            for shard_index in sorted(group.partials):
-                                merged_result = merged_result.merge(
-                                    group.partials[shard_index]
-                                )
-                            deliver(task.spec_index, merged_result)
+                    sweep.finished(tasks_by_id[task_id], result, cpu_seconds)
                     dispatch()
                 elif kind == "error":
                     _, worker_id, task_id, detail = message

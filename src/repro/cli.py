@@ -35,7 +35,9 @@ specs.  ``query`` inspects the store without simulating anything.
 merged across every worker and shard — as a Chrome trace-event file
 (loadable in Perfetto or ``chrome://tracing``); ``repro trace``
 summarizes, ranks, or converts a saved trace without re-running
-anything.
+anything.  ``--profile`` records through the same tracer and prints its
+per-section totals (phases, kernels, tasks, ``cpu_total``) merged across
+every worker and shard.
 """
 
 from __future__ import annotations
@@ -50,8 +52,7 @@ from repro.analysis.experiments import POLICY_NAMES, run_policy
 from repro.analysis.scenarios import (
     DatasetSpec,
     ScenarioSpec,
-    run_scenario,
-    run_scenario_sharded,
+    run_scenarios,
     sweep_specs,
 )
 from repro.analysis.tables import format_rows, format_table, rows_payload
@@ -216,37 +217,40 @@ def _add_trace_arg(parser: argparse.ArgumentParser) -> None:
 
 
 @contextmanager
-def _tracing(path: "str | None", command: str):
-    """Record a span timeline around a command body and write it out.
+def _tracing(path: "str | None", command: str, profile: bool = False):
+    """Record spans around a command body; yield the tracer (or None).
 
-    A no-op without ``--trace``.  The trace file lands even when the
-    command fails partway — a truncated timeline is exactly what you
-    want for diagnosing the failure — and the confirmation line goes to
-    stderr so stdout stays machine-readable.
+    A no-op (yielding None) without ``--trace`` or ``--profile``.  With
+    ``--profile`` the caller renders the tracer's totals; with
+    ``--trace`` the timeline is written to ``path``.  The trace file
+    lands even when the command fails partway — a truncated timeline is
+    exactly what you want for diagnosing the failure — and the
+    confirmation line goes to stderr so stdout stays machine-readable.
     """
-    if path is None:
-        yield
+    if path is None and not profile:
+        yield None
         return
     tracer = trace.enable_tracer()
     try:
         with trace.span(command):
-            yield
+            yield tracer
     finally:
         trace.disable_tracer()
-        spans = tracer.spans()
-        if path.endswith(".jsonl"):
-            count = trace_export.write_jsonl(path, spans)
-        else:
-            count = trace_export.write_chrome_trace(
-                path,
-                spans,
-                dropped=tracer.dropped,
-                counters=dict(metrics.counters().values) or None,
-            )
-        message = f"trace: {count} spans -> {path}"
-        if tracer.dropped:
-            message += f" ({tracer.dropped} dropped: ring buffer full)"
-        print(message, file=sys.stderr)
+        if path is not None:
+            spans = tracer.spans()
+            if path.endswith(".jsonl"):
+                count = trace_export.write_jsonl(path, spans)
+            else:
+                count = trace_export.write_chrome_trace(
+                    path,
+                    spans,
+                    dropped=tracer.dropped,
+                    counters=dict(metrics.counters().values) or None,
+                )
+            message = f"trace: {count} spans -> {path}"
+            if tracer.dropped:
+                message += f" ({tracer.dropped} dropped: ring buffer full)"
+            print(message, file=sys.stderr)
 
 
 #: Columns of every ``--profile`` timing table.
@@ -360,33 +364,40 @@ def _scenario_dict(spec: ScenarioSpec, result) -> dict:
     }
 
 
-def _profile_rows(profiler) -> list[dict]:
-    """Phase + kernel timing rows for ``simulate --profile``.
+#: Profile sections that time whole commands, tasks or the scheduler
+#: around them rather than simulation work.
+_TASK_SECTIONS = frozenset(
+    {"simulate", "sweep", "spec_task", "shard_task", "barrier_wait",
+     "epoch_merge"}
+)
+
+
+def _profile_rows(tracer: trace.Tracer) -> list[dict]:
+    """The ``--profile`` table: the tracer's totals, classified.
 
     Phases (``uplink``/``capture``/``downlink``/``ingest``, plus
     ``sync`` under epoch synchronization) tile the simulation loop;
-    kernels (``imagery``/``codec``/``dwt``/``scoring``) run inside
-    phases and break down where phase time goes.
+    kernels (``imagery``/``codec``/``dwt``/``scoring``, store I/O) run
+    inside phases and break down where phase time goes; task rows time
+    the command, its tasks and their scheduling; ``cpu_total`` sums the
+    tasks' CPU time.
     """
-    return _classify_profile_rows(profiler.rows())
-
-
-def _classify_profile_rows(raw_rows: list[dict]) -> list[dict]:
     phase_names = ("uplink", "capture", "downlink", "ingest", "sync")
     rows = []
-    for entry in raw_rows:
-        entry = dict(entry)
+    for entry in tracer.rows():
         if entry["section"] == "cpu_total":
-            entry["kind"] = "total"  # shard-worker CPU time (sharded runs)
+            entry["kind"] = "total"
         elif entry["section"] in phase_names:
             entry["kind"] = "phase"
+        elif entry["section"] in _TASK_SECTIONS:
+            entry["kind"] = "task"
         else:
             entry["kind"] = "kernel"
         rows.append(entry)
-    # Phases first (loop tiling), kernels after (breakdown), totals last;
-    # within each group longest-running first — profiler rows are
-    # already time-sorted.
-    order = {"phase": 0, "kernel": 1, "total": 2}
+    # Phases first (loop tiling), kernels after (breakdown), then tasks
+    # and totals; within each group longest-running first — tracer rows
+    # are already time-sorted.
+    order = {"phase": 0, "kernel": 1, "task": 2, "total": 3}
     return sorted(rows, key=lambda r: order[r["kind"]])
 
 
@@ -407,28 +418,11 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         downlink_severity=args.downlink_severity,
         seed=args.seed,
     )
-    shard_profiles: list[tuple[int, tuple[int, ...], list]] = []
-    profiler = None
-    with _tracing(args.trace, "simulate"):
+    with _tracing(args.trace, "simulate", profile=args.profile) as tracer:
         if args.profile:
             # Serving a profile run from the store would time nothing;
             # profiling always simulates (and does not persist).
-            if shards > 1:
-                result = run_scenario_sharded(
-                    spec,
-                    shards=shards,
-                    profile_sink=(
-                        lambda index, sats, rows: shard_profiles.append(
-                            (index, sats, rows)
-                        )
-                    ),
-                )
-            else:
-                profiler = perf.enable_profiler()
-                try:
-                    result = run_scenario(spec)
-                finally:
-                    perf.disable_profiler()
+            (result,) = run_scenarios([spec], shards=shards)
         else:
             result = run_scenario_cached(
                 spec,
@@ -437,28 +431,19 @@ def cmd_simulate(args: argparse.Namespace) -> int:
                 shards=shards,
             )
     sections = []
-    if profiler is not None:
-        sections.append(
-            (
-                "profile",
-                _PROFILE_COLUMNS,
-                _profile_rows(profiler),
-                "per-phase timing breakdown (kernels run inside phases)",
-            )
+    if args.profile:
+        shard_tasks = tracer.totals.get("shard_task", (0.0, 0))[1]
+        title = (
+            f"merged timing breakdown across {shard_tasks} shards"
+            if shard_tasks
+            else "per-phase timing breakdown"
         )
-    if shard_profiles:
-        # One merged table across the shard gang (profilers are a
-        # monoid), not N disjoint per-shard tables.
-        merged = perf.SimProfiler.identity()
-        for _index, _satellites, rows in shard_profiles:
-            merged = merged.merge(perf.SimProfiler.from_rows(rows))
         sections.append(
             (
                 "profile",
                 _PROFILE_COLUMNS,
-                _classify_profile_rows(merged.rows()),
-                f"merged timing breakdown across {len(shard_profiles)} "
-                "shards (kernels run inside phases)",
+                _profile_rows(tracer),
+                f"{title} (kernels run inside phases)",
             )
         )
     _emit_report(
@@ -514,19 +499,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     )
     store = _resolve_store(args)
     scheduler_stats: list = []
-    profile_sink = None
-    merged_profile = [perf.SimProfiler.identity()]
-    if args.profile:
-
-        def profile_sink(rows):
-            # Fold per-task (per-shard, per-worker) rows as they land.
-            merged_profile[0] = merged_profile[0].merge(
-                perf.SimProfiler.from_rows(rows)
-            )
-
     progress = SweepProgress(total=len(specs))
     try:
-        with _tracing(args.trace, "sweep"):
+        with _tracing(args.trace, "sweep", profile=args.profile) as tracer:
             sweep = run_scenarios_cached(
                 specs,
                 max_workers=workers,
@@ -534,7 +509,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
                 refresh=args.refresh,
                 shards=shards,
                 stats_sink=scheduler_stats.append if args.profile else None,
-                profile_sink=profile_sink,
                 progress=progress,
             )
     finally:
@@ -546,7 +520,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
             (
                 "profile",
                 _PROFILE_COLUMNS,
-                _classify_profile_rows(merged_profile[0].rows()),
+                _profile_rows(tracer),
                 f"merged timing breakdown across {executed} simulated "
                 "scenario(s) (kernels run inside phases)",
             )
@@ -926,8 +900,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sweep_parser.add_argument(
         "--profile", action="store_true",
-        help="print per-sweep scheduler statistics (tasks run/stolen, "
-        "worker spawns, barrier-idle seconds) after the results",
+        help="print a timing breakdown merged across every task (phases, "
+        "kernels, task CPU) plus scheduler statistics (tasks run, worker "
+        "spawns, barrier-idle seconds) after the results",
     )
     _add_shard_args(sweep_parser)
     _add_store_args(sweep_parser, resumable=True)

@@ -40,6 +40,7 @@ import numpy as np
 
 from repro import perf
 from repro.errors import CodecError
+from repro.obs import trace
 
 # CDF 9/7 lifting constants (ITU-T T.800 Annex F).
 _ALPHA = -1.586134342059924
@@ -600,7 +601,7 @@ def forward_dwt2d(
         CodecError: For invalid level counts or non-2-D input.
     """
     _check_transform_args(image.shape, image.ndim, levels)
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         current = image
         details: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for _ in range(levels):
@@ -621,7 +622,7 @@ def inverse_dwt2d(coeffs: WaveletCoeffs) -> np.ndarray:
     Returns:
         The reconstructed image: float64 for CDF 9/7, int64 for LeGall 5/3.
     """
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         current = coeffs.approx
         # Reconstruct level shapes top-down: we must know each level's
         # row/col counts, derived by repeatedly halving the original shape.
@@ -688,7 +689,7 @@ def dwt_many(
     n_images = stack.shape[0]
     image_shape = (stack.shape[1], stack.shape[2])
     _check_transform_args(image_shape, 2, levels)
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         current = stack
         detail_stacks: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
         for _ in range(levels):
@@ -740,7 +741,7 @@ def idwt_many(coeffs_list: list[WaveletCoeffs]) -> np.ndarray:
             raise CodecError(
                 "idwt_many requires decompositions of identical geometry"
             )
-    with perf.profiled("dwt"):
+    with trace.span("dwt"):
         wavelet = first.wavelet
         current = np.stack([c.approx for c in coeffs_list])
         shapes = [first.shape]

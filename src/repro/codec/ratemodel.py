@@ -47,6 +47,7 @@ from repro.codec.quantize import (
     quantize_coeffs,
 )
 from repro.errors import CodecError, RateControlError
+from repro.obs import trace
 
 #: Container overhead per encoded tile (index, plane counts, lengths).
 _TILE_OVERHEAD_BYTES = 8
@@ -673,7 +674,7 @@ class RateModel:
         recomputing the payload statistics (pass them back as
         ``payload_hint``).
         """
-        with perf.profiled("codec"):
+        with trace.span("codec"):
             payload_bits, n_plane_segments, _ = self._payload_stats(
                 decomps, step, want_quantized=False
             )
@@ -722,7 +723,7 @@ class RateModel:
         if step <= 0:
             raise CodecError(f"base_step must be positive, got {step}")
         roi = self._resolve_roi(image, roi)
-        with perf.profiled("codec"):
+        with trace.span("codec"):
             if perf.simulation_fastpath():
                 return self._encode_batched(
                     image, step, roi, decompositions, payload_hint

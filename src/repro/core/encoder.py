@@ -47,6 +47,7 @@ from repro.core.tiles import TileGrid
 from repro.errors import PipelineError
 from repro.imagery.bands import Band
 from repro.imagery.sensor import Capture
+from repro.obs import trace
 
 #: Bytes for the per-band illumination alignment parameters shipped with
 #: each download (two float32 values).
@@ -460,7 +461,7 @@ class EarthPlusEncoder:
         ]
         ref_indices = [i for i in range(n_bands) if had_reference[i]]
         if ref_indices:
-            with perf.profiled("scoring"):
+            with trace.span("scoring"):
                 capture_lr_stack = downsample_many(
                     cleaned[np.array(ref_indices)], ratio
                 )
@@ -556,7 +557,7 @@ class EarthPlusEncoder:
                     )[: self.image_shape[0], : self.image_shape[1]]
                 )
                 unfilled_tiles = self.grid.reduce_any(unfilled_px)
-            with perf.profiled("scoring"):
+            with trace.span("scoring"):
                 detection = detect_changes(
                     reference_lr,
                     capture_lr,

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from repro import perf
 from repro.core.accounting import (
     CaptureRecord,
     MetricCollector,
@@ -209,9 +208,9 @@ class ConstellationSimulator:
 
         The global visit ordering is memoized on the schedule, so repeated
         runs over one dataset (policy comparisons, seed sweeps) sort it
-        once instead of once per run.  When a profiler is installed (see
-        :mod:`repro.perf`) each phase's wall time is recorded under the
-        phase's name.
+        once instead of once per run.  When a tracer is installed (see
+        :mod:`repro.obs.trace`) each phase's wall time is recorded under
+        the phase's name.
 
         With ``config.ground_sync_days > 0`` the run is
         epoch-synchronized (see :mod:`repro.core.sharding`): ground-state
@@ -291,7 +290,7 @@ class ConstellationSimulator:
                 else:
                     ingests = canonical_ingests(ingests)
                     marks = canonical_marks(marks)
-                with perf.profiled("sync"):
+                with trace.span("sync"):
                     self.ground.apply_ingests(ingests)
                     apply_marks(state._last_guaranteed, marks)
         finally:
@@ -304,7 +303,7 @@ class ConstellationSimulator:
             visit=visit, state=state.for_satellite(visit.satellite_id)
         )
         for phase in phases:
-            with perf.profiled(phase.name):
+            with trace.span(phase.name):
                 phase.run(event)
         metrics.observe(event)
 

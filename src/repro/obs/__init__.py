@@ -6,12 +6,12 @@ Three small facilities every layer of the stack reports through:
     A span-based tracer: :func:`~repro.obs.trace.span` records begin/end
     on a monotonic clock into a bounded per-process ring buffer, with
     worker/scenario/shard/epoch attribution carried by an ambient
-    context.  Near-zero cost when disabled, so hot kernels stay
-    instrumented unconditionally (``perf.profiled`` is now a
-    compatibility shim over it).
+    context, and keeps exact per-name ``(seconds, calls)`` totals beside
+    it — the one aggregation ``--profile`` renders.  Near-zero cost when
+    disabled, so hot kernels stay instrumented unconditionally.
 ``repro.obs.metrics``
     Named monotonic counters with a monoid ``merge()`` — the store
-    (hit/miss/eviction/bytes), the sweep scheduler (steals/spawns/
+    (hit/miss/eviction/bytes), the sweep scheduler (spawns/tasks/
     barrier idle), the downlink phase (shed/defer/drop), and the codec
     registry all count through one process-global instance; worker
     deltas ship back over the scheduler protocol and merge associatively.

@@ -9,7 +9,7 @@ epoch-barrier waits line up visually across the pool.
 
 ``read_trace`` accepts both formats back, so the ``repro trace``
 subcommand (``summary`` / ``slowest`` / ``export``) works on either
-artifact.  ``summarize`` reproduces the profiler's per-section totals
+artifact.  ``summarize`` reproduces the tracer's per-section totals
 (name, calls, seconds) from the spans alone — the acceptance check that
 the trace and the merged ``--profile`` table agree.
 """
@@ -17,6 +17,8 @@ the trace and the merged ``--profile`` table agree.
 from __future__ import annotations
 
 import json
+
+from repro.obs import trace
 
 __all__ = [
     "read_trace",
@@ -194,23 +196,16 @@ def read_trace(path: str):
 
 
 def summarize(spans) -> list[dict]:
-    """Per-section totals from spans, in the profiler's row shape.
+    """Per-section totals from spans, in the ``--profile`` row shape.
 
     Returns:
         ``[{"section", "seconds", "calls"}]`` sorted by seconds
-        descending — the same rows ``SimProfiler.rows()`` produces, so
-        ``repro trace summary`` agrees with the merged ``--profile``
-        table for the same run.
+        descending — the rows :meth:`~repro.obs.trace.Tracer.rows`
+        produces, so ``repro trace summary`` agrees with the merged
+        ``--profile`` table for the same run (unless the ring buffer
+        dropped spans, which the tracer's totals still count).
     """
-    seconds: dict = {}
-    calls: dict = {}
-    for name, begin_s, end_s, _attrs in spans:
-        seconds[name] = seconds.get(name, 0.0) + (end_s - begin_s)
-        calls[name] = calls.get(name, 0) + 1
-    return [
-        {"section": name, "seconds": round(seconds[name], 6), "calls": calls[name]}
-        for name in sorted(seconds, key=lambda n: seconds[n], reverse=True)
-    ]
+    return trace.total_rows(trace.span_totals(spans))
 
 
 def slowest(spans, limit: int = 10) -> list[dict]:

@@ -3,12 +3,13 @@
 Every layer counts through one process-global :class:`Counters`
 instance (:func:`counters`): the store bumps ``store.hit`` /
 ``store.miss`` / ``store.evict`` / ``store.put_bytes``, the sweep
-scheduler bumps ``sched.steal`` / ``sched.spawn`` / ``sched.barrier_idle_s``,
+scheduler bumps ``sched.spawns`` / ``sched.tasks_run`` /
+``sched.barrier_idle_s``,
 ``DownlinkPhase`` bumps ``downlink.shed`` / ``downlink.defer`` /
 ``downlink.drop``, and the codec registry bumps ``codec.resolve.*``.
 
 Counters follow the same algebra as every other per-worker partial in
-this codebase (``RunResult``, ``SimProfiler``): :meth:`Counters.merge`
+this codebase (``RunResult``, tracer totals): :meth:`Counters.merge`
 is associative with :meth:`Counters.identity` as the unit, so worker
 deltas shipped over the scheduler's result protocol fold into one
 sweep-wide view in any order.  Values are monotonic — only

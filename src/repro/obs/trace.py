@@ -1,29 +1,29 @@
 """Span tracing: begin/end timestamps in a bounded per-process ring buffer.
 
-:func:`span` is the one instrumentation point the whole stack shares.  It
-is simultaneously the profiler's section timer (when a
-:class:`~repro.perf.SimProfiler` is installed the span's duration is
-added to its section) and the tracer's timeline recorder (when a
-:class:`Tracer` is enabled the span lands in its ring buffer with full
-begin/end timestamps and attribution).  ``perf.profiled`` is a
-compatibility shim over it, so every pre-existing ``profiled("dwt")``
-call site emits spans for free.
+:func:`span` is the one instrumentation point the whole stack shares.
+When a :class:`Tracer` is enabled each span lands twice: in its ring
+buffer with full begin/end timestamps and attribution (the ``--trace``
+timeline), and in its exact per-name ``(seconds, calls)`` totals (the
+``--profile`` table).  Totals survive ring overflow, so the profile
+stays exact however long the run.
 
 Design constraints, in order:
 
 * **Zero perturbation.**  Spans only read the clock; simulation results
   are byte-identical with tracing on or off (differential-tested).
-* **Near-zero cost when disabled.**  With neither a tracer nor a
-  profiler installed, :func:`span` returns a shared no-op context
-  manager after two module-attribute reads — cheap enough to leave hot
-  kernels instrumented unconditionally.
+* **Near-zero cost when disabled.**  With no tracer installed,
+  :func:`span` returns a shared no-op context manager after one
+  module-attribute read — cheap enough to leave hot kernels
+  instrumented unconditionally.
 * **Bounded memory.**  The buffer is a fixed-capacity ring; overflow
   overwrites the oldest span and counts ``dropped`` so exports can say
-  the timeline is clipped rather than silently lying.
-* **Mergeable.**  Span records are plain picklable tuples; per-worker
-  buffers ship back over the scheduler's result protocol and
-  :meth:`Tracer.extend` folds them — associatively, like every other
-  per-worker partial in this codebase — into one sweep-wide timeline.
+  the timeline is clipped rather than silently lying.  Totals hold one
+  entry per span name.
+* **Mergeable.**  Span records are plain picklable tuples and totals a
+  plain dict; per-worker partials ship back over the scheduler's result
+  protocol and :meth:`Tracer.extend` folds them — associatively, like
+  every other per-worker partial in this codebase — into one sweep-wide
+  timeline and table.
 
 Attribution rides on an ambient per-process context
 (:func:`set_context` / :func:`trace_context`): the scheduler workers set
@@ -41,8 +41,6 @@ from __future__ import annotations
 import os
 import time
 
-from repro import perf
-
 __all__ = [
     "DEFAULT_CAPACITY",
     "Tracer",
@@ -51,9 +49,12 @@ __all__ = [
     "current_context",
     "disable_tracer",
     "enable_tracer",
+    "merge_totals",
     "reset_context",
     "set_context",
     "span",
+    "span_totals",
+    "total_rows",
     "trace_context",
 ]
 
@@ -62,13 +63,53 @@ __all__ = [
 DEFAULT_CAPACITY = 65536
 
 
+def merge_totals(left: dict, right: dict) -> dict:
+    """Pointwise sum of two ``name -> (seconds, calls)`` totals maps.
+
+    A commutative monoid with ``{}`` as the unit (seconds are float
+    sums, so associativity is approximate, like ``RunResult.merge``):
+    per-task and per-worker totals fold into one sweep-wide table in any
+    grouping.  Neither operand is mutated.
+    """
+    merged = dict(left)
+    for name, (seconds, calls) in right.items():
+        base_seconds, base_calls = merged.get(name, (0.0, 0))
+        merged[name] = (base_seconds + seconds, base_calls + calls)
+    return merged
+
+
+def span_totals(spans) -> dict:
+    """The ``name -> (seconds, calls)`` totals of a list of span tuples."""
+    totals: dict[str, tuple[float, int]] = {}
+    for name, begin_s, end_s, _attrs in spans:
+        seconds, calls = totals.get(name, (0.0, 0))
+        totals[name] = (seconds + (end_s - begin_s), calls + 1)
+    return totals
+
+
+def total_rows(totals: dict) -> list[dict]:
+    """Totals as ``[{"section", "seconds", "calls"}]``, longest first."""
+    return [
+        {
+            "section": name,
+            "seconds": round(totals[name][0], 6),
+            "calls": totals[name][1],
+        }
+        for name in sorted(totals, key=lambda n: totals[n][0], reverse=True)
+    ]
+
+
 class Tracer:
-    """A bounded ring buffer of finished spans.
+    """A bounded ring buffer of finished spans plus exact per-name totals.
 
     Span records are plain tuples ``(name, begin_s, end_s, attrs)`` —
     ``attrs`` is a dict (ambient context merged with per-span attributes)
     or None.  Records are picklable by construction so worker buffers
     can ship over the scheduler's result queue.
+
+    :attr:`totals` maps each name to ``(seconds, calls)`` over *every*
+    span recorded, evicted ones included, plus any :meth:`add_total`
+    entries that have no span (the task runner's ``cpu_total``).
 
     Args:
         capacity: Maximum retained spans; older spans are overwritten
@@ -81,8 +122,17 @@ class Tracer:
         self.capacity = capacity
         self.pid = os.getpid()
         self.dropped = 0
+        self.totals: dict[str, tuple[float, int]] = {}
         self._buffer: list[tuple] = []
         self._next = 0  # overwrite cursor once the buffer is full
+
+    def _retain(self, record: tuple) -> None:
+        if len(self._buffer) < self.capacity:
+            self._buffer.append(record)
+        else:
+            self._buffer[self._next] = record
+            self._next = (self._next + 1) % self.capacity
+            self.dropped += 1
 
     def add(
         self,
@@ -92,16 +142,16 @@ class Tracer:
         attrs: dict | None = None,
     ) -> None:
         """Record one finished span (oldest span evicted at capacity)."""
-        record = (name, begin_s, end_s, attrs)
-        if len(self._buffer) < self.capacity:
-            self._buffer.append(record)
-        else:
-            self._buffer[self._next] = record
-            self._next = (self._next + 1) % self.capacity
-            self.dropped += 1
+        self._retain((name, begin_s, end_s, attrs))
+        self.add_total(name, end_s - begin_s)
 
-    def extend(self, spans, dropped: int = 0) -> None:
-        """Fold another buffer's spans (a worker partial) into this one.
+    def add_total(self, name: str, seconds: float) -> None:
+        """Count one call of ``seconds`` against ``name``, totals only."""
+        base_seconds, calls = self.totals.get(name, (0.0, 0))
+        self.totals[name] = (base_seconds + seconds, calls + 1)
+
+    def extend(self, spans, dropped: int = 0, totals=None) -> None:
+        """Fold another tracer's partial (a worker's) into this one.
 
         Folding is associative and order-only — exporters sort by begin
         time, so the merged timeline is independent of arrival order.
@@ -110,16 +160,25 @@ class Tracer:
             spans: Span tuples as produced by :meth:`spans`.
             dropped: The source buffer's own drop count, carried over so
                 the merged timeline still reports clipping.
+            totals: The source's :attr:`totals`, which also cover its
+                dropped spans; None totals ``spans`` themselves.
         """
         for record in spans:
-            self.add(*record)
+            self._retain(record)
         self.dropped += dropped
+        self.totals = merge_totals(
+            self.totals, span_totals(spans) if totals is None else totals
+        )
 
     def spans(self) -> list[tuple]:
         """Retained spans, oldest first."""
         if self._next == 0:
             return list(self._buffer)
         return self._buffer[self._next :] + self._buffer[: self._next]
+
+    def rows(self) -> list[dict]:
+        """The totals as ``--profile`` rows (see :func:`total_rows`)."""
+        return total_rows(self.totals)
 
     def __len__(self) -> int:
         return len(self._buffer)
@@ -233,10 +292,9 @@ _NULL_SPAN = _NullSpan()
 class _LiveSpan:
     """One active span: timestamps on entry/exit, recorded on exit.
 
-    The profiler and tracer are re-read at exit (not captured at entry)
-    so a span that straddles an enable/disable records consistently with
-    the state at its end — the same call-time semantics as every other
-    repro switch.
+    The tracer is re-read at exit (not captured at entry) so a span that
+    straddles an enable/disable records consistently with the state at
+    its end — the same call-time semantics as every other repro switch.
     """
 
     __slots__ = ("name", "attrs", "begin_s")
@@ -251,9 +309,6 @@ class _LiveSpan:
 
     def __exit__(self, exc_type, exc, tb) -> bool:
         end_s = time.perf_counter()
-        profiler = perf._PROFILER
-        if profiler is not None:
-            profiler.add(self.name, end_s - self.begin_s)
         tracer = _TRACER
         if tracer is not None:
             attrs = self.attrs
@@ -264,18 +319,18 @@ class _LiveSpan:
 
 
 def span(name: str, **attrs):
-    """Time a block, feeding the profiler and/or tracer when installed.
+    """Time a block into the installed tracer, if any.
 
     Args:
-        name: Section/span name (``uplink``, ``dwt``, ``spec <label>``...).
+        name: Section/span name (``uplink``, ``dwt``, ``spec_task``...).
         attrs: Per-span attributes recorded with the span (merged over
-            the ambient context; tracing only — the profiler keys by
-            name alone).
+            the ambient context; the timeline keeps them, the totals key
+            by name alone).
 
     Returns:
-        A context manager.  With neither facility installed this is a
-        shared no-op instance; the block runs untimed at near-zero cost.
+        A context manager.  With no tracer installed this is a shared
+        no-op instance; the block runs untimed at near-zero cost.
     """
-    if _TRACER is None and perf._PROFILER is None:
+    if _TRACER is None:
         return _NULL_SPAN
     return _LiveSpan(name, attrs)

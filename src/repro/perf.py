@@ -1,6 +1,6 @@
-"""Simulation fast-path switch and lightweight kernel profiling.
+"""Simulation fast-path switch and engine-configuration switches.
 
-Two small, dependency-free facilities the whole simulation stack shares:
+Small, dependency-free facilities the whole simulation stack shares:
 
 * **The fast-path switch.**  Every performance layer added on top of the
   reference simulation — vectorized DWT lifting, the batched tile pipeline
@@ -16,14 +16,13 @@ Two small, dependency-free facilities the whole simulation stack shares:
   variable goes through, so ``off``/``FALSE``/``no`` disable a switch
   exactly like ``0`` everywhere.
 
-* **The profiler.**  :func:`enable_profiler` installs a process-wide
-  :class:`SimProfiler`; instrumented sections (simulation phases, DWT,
-  codec/rate model, change-detection scoring, imagery synthesis) record
-  wall time into it via :func:`profiled`.  When no profiler is installed
-  the instrumentation is a near-zero-cost fast return, so hot kernels can
-  stay instrumented unconditionally.  :func:`profiled` is a compatibility
-  shim over :func:`repro.obs.trace.span`, so the same call sites feed the
-  trace timeline (``--trace``) when a tracer is enabled.
+* **Topology defaults.**  :func:`sim_shards` and :func:`sim_workers`
+  read ``REPRO_SIM_SHARDS``/``REPRO_SIM_WORKERS`` at call time; both
+  are engine configuration that never changes results.
+
+Timing lives in the telemetry plane, not here: instrumented sections
+call :func:`repro.obs.trace.span`, and ``--profile`` renders the
+tracer's per-name totals.
 """
 
 from __future__ import annotations
@@ -222,112 +221,3 @@ def fastpath_enabled():
         yield
     finally:
         _FASTPATH_OVERRIDE = previous
-
-
-class SimProfiler:
-    """Accumulates wall-clock time per named section.
-
-    Sections are flat (no nesting semantics): a section's time is the sum
-    of every ``profiled(name)`` span that ran while this profiler was
-    installed.  Phase sections (``uplink``/``capture``/``ingest``) tile the
-    simulation loop; kernel sections (``dwt``/``codec``/``scoring``/
-    ``imagery``) run *inside* phases, so kernel times are a breakdown of
-    where phase time goes, not an additional cost.
-    """
-
-    def __init__(self) -> None:
-        self.seconds: dict[str, float] = {}
-        self.calls: dict[str, int] = {}
-
-    @classmethod
-    def identity(cls) -> "SimProfiler":
-        """The merge unit: an empty profiler."""
-        return cls()
-
-    @classmethod
-    def from_rows(cls, rows) -> "SimProfiler":
-        """Rebuild a profiler from :meth:`rows` output (worker partials)."""
-        profiler = cls()
-        for row in rows:
-            name = row["section"]
-            profiler.seconds[name] = (
-                profiler.seconds.get(name, 0.0) + row["seconds"]
-            )
-            profiler.calls[name] = profiler.calls.get(name, 0) + row["calls"]
-        return profiler
-
-    def merge(self, other: "SimProfiler") -> "SimProfiler":
-        """Pointwise sum of section times and call counts.
-
-        Associative with :meth:`identity` as the unit (section times are
-        float sums, so associativity is approximate, like
-        ``RunResult.merge``): per-shard/per-worker profiles fold into
-        one sweep-wide table in any grouping.
-        """
-        merged = SimProfiler()
-        merged.seconds = dict(self.seconds)
-        merged.calls = dict(self.calls)
-        for name, seconds in other.seconds.items():
-            merged.seconds[name] = merged.seconds.get(name, 0.0) + seconds
-        for name, calls in other.calls.items():
-            merged.calls[name] = merged.calls.get(name, 0) + calls
-        return merged
-
-    def add(self, name: str, seconds: float) -> None:
-        """Record one span of ``seconds`` against section ``name``."""
-        self.seconds[name] = self.seconds.get(name, 0.0) + seconds
-        self.calls[name] = self.calls.get(name, 0) + 1
-
-    def rows(self) -> list[dict]:
-        """Per-section summary rows, longest-running first."""
-        return [
-            {
-                "section": name,
-                "seconds": round(self.seconds[name], 6),
-                "calls": self.calls[name],
-            }
-            for name in sorted(
-                self.seconds, key=lambda n: self.seconds[n], reverse=True
-            )
-        ]
-
-
-_PROFILER: SimProfiler | None = None
-
-
-def enable_profiler() -> SimProfiler:
-    """Install (and return) a fresh process-wide profiler."""
-    global _PROFILER
-    _PROFILER = SimProfiler()
-    return _PROFILER
-
-
-def disable_profiler() -> None:
-    """Remove the installed profiler (instrumentation returns to no-op)."""
-    global _PROFILER
-    _PROFILER = None
-
-
-def active_profiler() -> SimProfiler | None:
-    """The installed profiler, if any."""
-    return _PROFILER
-
-
-# Lazily-bound repro.obs.trace.span: perf must stay importable by obs
-# (obs.trace reads _PROFILER directly), so the import runs on first use,
-# not at module load — there is no cycle at import time.
-_SPAN = None
-
-
-def profiled(name: str):
-    """Time a block against section ``name`` when a profiler is installed.
-
-    Compatibility shim over :func:`repro.obs.trace.span`: every
-    pre-existing ``profiled(...)`` call site now also emits a trace span
-    when a tracer is enabled, while keeping the historical near-zero-cost
-    fast return when neither facility is installed.
-    """
-    global _SPAN
-    if _SPAN is None:
-        from repro.obs.trace import span as _SPAN  # noqa: PLW0603
-    return _SPAN(name)

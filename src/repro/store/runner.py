@@ -173,7 +173,6 @@ def run_scenarios_cached(
     refresh: bool = False,
     shards: int | None = None,
     stats_sink=None,
-    profile_sink=None,
     progress=None,
 ) -> CachedSweep:
     """Execute a batch through the experiment store.
@@ -200,9 +199,6 @@ def run_scenarios_cached(
         stats_sink: Optional hook receiving the scheduler's per-sweep
             :class:`~repro.analysis.scheduler.SchedulerStats` when the
             simulated remainder ran on a worker pool.
-        profile_sink: Optional per-task profiler-rows hook (see
-            :func:`~repro.analysis.scenarios.run_scenarios`); cache hits
-            produce no rows — nothing simulated, nothing timed.
         progress: Optional :class:`~repro.obs.progress.SweepProgress`
             (or duck-type); cache hits report through ``add_cached``,
             simulated specs through the scheduler's task callbacks.
@@ -272,7 +268,6 @@ def run_scenarios_cached(
         on_result=persist,
         shards=shards,
         stats_sink=stats_sink,
-        profile_sink=profile_sink,
         progress=progress,
     )
     # Fan shared-key results out to duplicate specs.

@@ -28,6 +28,7 @@ from repro.core.reference import (
     quantize_reference,
 )
 from repro.core.tiles import TileGrid
+from repro.obs import trace
 
 
 def _run_snapshot(result):
@@ -291,19 +292,19 @@ def test_schedule_order_memoized(tiny_sentinel_dataset):
 
 
 def test_profiler_sections(tiny_sentinel_dataset):
-    """A profiled run records phase and kernel sections."""
+    """A traced run totals phase and kernel sections for ``--profile``."""
     spec = ScenarioSpec(
         policy="earthplus",
         dataset=tiny_sentinel_dataset,
         config=EarthPlusConfig(gamma_bpp=0.3),
     )
-    profiler = perf.enable_profiler()
+    tracer = trace.enable_tracer()
     try:
         run_scenario(spec)
     finally:
-        perf.disable_profiler()
-    sections = {row["section"] for row in profiler.rows()}
+        trace.disable_tracer()
+    sections = {row["section"] for row in tracer.rows()}
     assert {"uplink", "capture", "ingest"} <= sections
     assert "codec" in sections and "dwt" in sections
-    assert all(row["seconds"] >= 0 for row in profiler.rows())
-    assert perf.active_profiler() is None
+    assert all(row["seconds"] >= 0 for row in tracer.rows())
+    assert trace.active_tracer() is None

@@ -272,3 +272,29 @@ class TestBarrierOverlap:
         assert stats.shard_tasks == 4
         for spec, result in zip(sync_specs, results):
             assert pickle.dumps(result) == pickle.dumps(run_scenario(spec))
+
+
+class TestPoolClamp:
+    def test_one_unsharded_spec_forks_nothing(self, monkeypatch):
+        # The pool never outgrows the plan: one spec task runs
+        # in-process whatever max_workers says, and stats_sink (a
+        # pooled-run hook) stays silent.
+        def no_pool(self, units, sweep):
+            raise AssertionError("a one-task plan must not start a pool")
+
+        monkeypatch.setattr(SweepScheduler, "_run_pooled", no_pool)
+        stats: list[SchedulerStats] = []
+        (result,) = run_scenarios(
+            [FIG13_SPEC], max_workers=4, shards=1, stats_sink=stats.append
+        )
+        assert stats == []
+        assert pickle.dumps(result) == pickle.dumps(run_scenario(FIG13_SPEC))
+
+    def test_stats_record_each_task_cpu(self):
+        stats: list[SchedulerStats] = []
+        run_scenarios(
+            [FIG13_SPEC], max_workers=2, shards=2, stats_sink=stats.append
+        )
+        (s,) = stats
+        assert sorted(s.task_cpu_s) == [(0, 0), (0, 1)]
+        assert s.worker_cpu_s == sum(s.task_cpu_s.values())

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from repro import perf
 from repro.cli import main
 from repro.obs import export, trace
 
@@ -18,7 +17,6 @@ _SWEEP_ARGS = [
 @pytest.fixture(autouse=True)
 def clean_telemetry():
     yield
-    perf.disable_profiler()
     trace.disable_tracer()
     trace.reset_context()
 
@@ -136,3 +134,33 @@ class TestStructuredProfile:
         out = capsys.readouterr().out
         assert "merged timing breakdown" in out
         assert "cpu_total" in out
+
+    def test_profile_sections_match_across_topologies(self, capsys):
+        # One aggregation whichever process ran the work: an in-process
+        # sweep and a pooled, sharded one report the same phase and
+        # kernel sections, and both carry the tasks' CPU total.
+        args = _SWEEP_ARGS + [
+            "--seeds", "0,1", "--sync-days", "1", "--profile",
+            "--format", "json",
+        ]
+
+        def sections(extra):
+            assert main(args + extra) == 0
+            doc = json.loads(capsys.readouterr().out)
+            rows = doc["profile"]
+            work = {
+                (r["kind"], r["section"])
+                for r in rows
+                if r["kind"] in ("phase", "kernel")
+            }
+            return work, {r["section"] for r in rows}, doc
+
+        inline, inline_all, inline_doc = sections(["--workers", "1"])
+        pooled, pooled_all, pooled_doc = sections(
+            ["--workers", "2", "--shards", "2"]
+        )
+        assert inline == pooled
+        assert {("phase", "uplink"), ("phase", "capture")} <= inline
+        assert "cpu_total" in inline_all and "cpu_total" in pooled_all
+        assert "shard_task" in pooled_all
+        assert "scheduler" not in inline_doc and "scheduler" in pooled_doc

@@ -4,8 +4,7 @@ import json
 
 import pytest
 
-from repro.obs import export
-from repro.perf import SimProfiler
+from repro.obs import export, trace
 
 #: A tiny merged timeline: driver plus two workers, out of order.
 SPANS = [
@@ -97,10 +96,10 @@ class TestRoundTrip:
 
 class TestSummaries:
     def test_summarize_matches_profiler_rows(self):
-        profiler = SimProfiler()
-        for name, begin_s, end_s, _attrs in SPANS:
-            profiler.add(name, end_s - begin_s)
-        assert export.summarize(SPANS) == profiler.rows()
+        tracer = trace.Tracer()
+        for record in SPANS:
+            tracer.add(*record)
+        assert export.summarize(SPANS) == tracer.rows()
 
     def test_slowest_ranks_and_attributes(self):
         rows = export.slowest(SPANS, limit=2)

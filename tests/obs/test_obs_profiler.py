@@ -1,98 +1,87 @@
-"""SimProfiler: monoid laws, row round-trips, and the profiled shim."""
+"""The ``--profile`` aggregation: tracer totals' monoid laws and rows."""
 
 import pytest
 from hypothesis import given, strategies as st
 
-from repro import perf
-from repro.perf import SimProfiler
+from repro.obs import trace
 
 
 @pytest.fixture(autouse=True)
-def no_installed_profiler():
+def no_installed_tracer():
     yield
-    perf.disable_profiler()
+    trace.disable_tracer()
 
 
-def _profiler(sections: dict) -> SimProfiler:
-    profiler = SimProfiler()
-    for name, (seconds, calls) in sections.items():
-        profiler.seconds[name] = float(seconds)
-        profiler.calls[name] = calls
-    return profiler
-
-
-# Integer-valued seconds keep merge exactly associative; real profiles
+# Integer-valued seconds keep merge exactly associative; real totals
 # are float sums where associativity is approximate (like RunResult).
-profilers = st.dictionaries(
+totals_maps = st.dictionaries(
     st.sampled_from(["uplink", "capture", "dwt", "codec"]),
     st.tuples(
-        st.integers(min_value=0, max_value=10**6),
+        st.integers(min_value=0, max_value=10**6).map(float),
         st.integers(min_value=1, max_value=10**6),
     ),
     max_size=4,
-).map(_profiler)
-
-
-def _as_dicts(profiler: SimProfiler) -> tuple:
-    return (profiler.seconds, profiler.calls)
+)
 
 
 class TestMonoid:
-    @given(profilers, profilers, profilers)
+    @given(totals_maps, totals_maps, totals_maps)
     def test_merge_associative(self, a, b, c):
-        left = a.merge(b).merge(c)
-        right = a.merge(b.merge(c))
-        assert _as_dicts(left) == _as_dicts(right)
+        left = trace.merge_totals(trace.merge_totals(a, b), c)
+        right = trace.merge_totals(a, trace.merge_totals(b, c))
+        assert left == right
 
-    @given(profilers)
+    @given(totals_maps)
     def test_identity_is_two_sided_unit(self, a):
-        assert _as_dicts(SimProfiler.identity().merge(a)) == _as_dicts(a)
-        assert _as_dicts(a.merge(SimProfiler.identity())) == _as_dicts(a)
+        assert trace.merge_totals({}, a) == a
+        assert trace.merge_totals(a, {}) == a
 
-    @given(profilers, profilers)
+    @given(totals_maps, totals_maps)
     def test_merge_commutative(self, a, b):
-        assert _as_dicts(a.merge(b)) == _as_dicts(b.merge(a))
+        assert trace.merge_totals(a, b) == trace.merge_totals(b, a)
 
-    @given(profilers)
+    @given(totals_maps)
     def test_from_rows_inverts_rows(self, a):
-        rebuilt = SimProfiler.from_rows(a.rows())
-        # rows() rounds seconds to 6 decimals; integer-valued times
-        # survive exactly.
-        assert _as_dicts(rebuilt) == _as_dicts(a)
+        # total_rows() rounds seconds to 6 decimals; integer-valued
+        # times survive exactly.
+        rebuilt = {
+            row["section"]: (row["seconds"], row["calls"])
+            for row in trace.total_rows(a)
+        }
+        assert rebuilt == a
 
     def test_merge_does_not_mutate_operands(self):
-        a = _profiler({"x": (1, 1)})
-        b = _profiler({"x": (2, 3)})
-        merged = a.merge(b)
-        assert merged.seconds == {"x": 3.0}
-        assert merged.calls == {"x": 4}
-        assert a.seconds == {"x": 1.0}
-        assert b.calls == {"x": 3}
+        a = {"x": (1.0, 1)}
+        b = {"x": (2.0, 3)}
+        assert trace.merge_totals(a, b) == {"x": (3.0, 4)}
+        assert a == {"x": (1.0, 1)}
+        assert b == {"x": (2.0, 3)}
 
 
 class TestProfiled:
-    def test_disabled_fast_return_is_shared_noop(self):
-        assert perf.active_profiler() is None
-        assert perf.profiled("a") is perf.profiled("b")
+    """Profiled sections: every span is timed into the tracer's totals."""
 
     def test_records_when_enabled(self):
-        profiler = perf.enable_profiler()
-        with perf.profiled("k"):
+        tracer = trace.enable_tracer()
+        with trace.span("k"):
             pass
-        with perf.profiled("k"):
+        with trace.span("k"):
             pass
-        assert profiler.calls == {"k": 2}
-        assert profiler.seconds["k"] >= 0.0
+        assert tracer.totals["k"][1] == 2
+        assert tracer.totals["k"][0] >= 0.0
 
     def test_nested_sections_both_recorded(self):
-        profiler = perf.enable_profiler()
-        with perf.profiled("outer"):
-            with perf.profiled("inner"):
+        tracer = trace.enable_tracer()
+        with trace.span("outer"):
+            with trace.span("inner"):
                 pass
-        assert profiler.calls == {"outer": 1, "inner": 1}
+        assert {name: calls for name, (_, calls) in tracer.totals.items()} == {
+            "outer": 1,
+            "inner": 1,
+        }
         # Sections are flat: the outer span contains the inner one.
-        assert profiler.seconds["outer"] >= profiler.seconds["inner"]
+        assert tracer.totals["outer"][0] >= tracer.totals["inner"][0]
 
     def test_rows_sorted_longest_first(self):
-        profiler = _profiler({"fast": (1, 1), "slow": (5, 2)})
-        assert [r["section"] for r in profiler.rows()] == ["slow", "fast"]
+        rows = trace.total_rows({"fast": (1.0, 1), "slow": (5.0, 2)})
+        assert [r["section"] for r in rows] == ["slow", "fast"]

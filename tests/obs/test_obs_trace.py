@@ -1,18 +1,16 @@
-"""Span tracer: ring buffer, attribution, shim, zero perturbation."""
+"""Span tracer: ring buffer, totals, attribution, zero perturbation."""
 
 import pickle
 
 import pytest
 
-from repro import perf
 from repro.obs import trace
 
 
 @pytest.fixture(autouse=True)
 def clean_telemetry():
-    """Every test leaves the process-global tracer/profiler uninstalled."""
+    """Every test leaves the process-global tracer uninstalled."""
     yield
-    perf.disable_profiler()
     trace.disable_tracer()
     trace.reset_context()
 
@@ -35,19 +33,42 @@ class TestRingBuffer:
         # Oldest-first rotation: the two earliest spans were overwritten.
         assert [s[0] for s in tracer.spans()] == ["s2", "s3", "s4", "s5"]
 
+    def test_totals_survive_overflow(self):
+        tracer = trace.Tracer(capacity=8)
+        for i in range(100):
+            tracer.add("even" if i % 2 == 0 else "odd", float(i), i + 0.25)
+        assert len(tracer) == 8
+        assert tracer.dropped == 92
+        # Every span counts, evicted ones included (quarter-second spans
+        # sum exactly in binary floating point).
+        assert tracer.totals == {"even": (12.5, 50), "odd": (12.5, 50)}
+
     def test_extend_folds_worker_partials(self):
         tracer = trace.Tracer(capacity=8)
         tracer.add("driver", 0.0, 1.0)
         tracer.extend([("w", 1.0, 2.0, {"worker": 0})], dropped=3)
         assert [s[0] for s in tracer.spans()] == ["driver", "w"]
         assert tracer.dropped == 3
+        # Without shipped totals the spans themselves are totalled.
+        assert tracer.totals == {"driver": (1.0, 1), "w": (1.0, 1)}
+
+    def test_extend_merges_shipped_totals(self):
+        # A worker's totals cover spans its own ring dropped, so they
+        # replace, not add to, the shipped spans' durations.
+        tracer = trace.Tracer(capacity=8)
+        tracer.extend(
+            [("w", 1.0, 2.0, None)],
+            dropped=4,
+            totals={"w": (5.0, 5), "cpu_total": (0.5, 1)},
+        )
+        assert tracer.totals == {"w": (5.0, 5), "cpu_total": (0.5, 1)}
+        assert tracer.rows()[0] == {"section": "w", "seconds": 5.0, "calls": 5}
 
 
 class TestSpan:
     def test_disabled_returns_shared_null_span(self):
         # The near-zero-cost fast path: no allocation per call.
         assert trace.active_tracer() is None
-        assert perf.active_profiler() is None
         assert trace.span("a") is trace.span("b")
 
     def test_records_into_tracer_with_merged_context(self):
@@ -68,18 +89,12 @@ class TestSpan:
         assert tracer.spans()[0][3]["epoch"] == 9
 
     def test_feeds_profiler_and_tracer_together(self):
+        # One span lands in both the timeline and the --profile totals.
         tracer = trace.enable_tracer()
-        profiler = perf.enable_profiler()
         with trace.span("k"):
             pass
-        assert profiler.calls == {"k": 1}
+        assert tracer.totals["k"][1] == 1
         assert [s[0] for s in tracer.spans()] == ["k"]
-
-    def test_profiled_is_a_span_shim(self):
-        tracer = trace.enable_tracer()
-        with perf.profiled("legacy"):
-            pass
-        assert [s[0] for s in tracer.spans()] == ["legacy"]
 
 
 class TestContext:
